@@ -24,7 +24,6 @@ from .document import emit_document, parse_document
 from .encoding import AddressMap, Dataset, build_indices, build_mapping, deserialize, serialize
 from .ir import (
     Circuit,
-    CircuitBuilder,
     Gate,
     GateKind,
     Level,
@@ -50,8 +49,6 @@ from .simulator import (
     uniform_distance,
 )
 from .synthesis import (
-    BIT_ORDER,
-    BitOrderConvention,
     SynthesisPlan,
     binary_decompose,
     factor,
@@ -65,11 +62,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AddressMap",
     "Assumption",
-    "BIT_ORDER",
-    "BitOrderConvention",
     "Case",
     "Circuit",
-    "CircuitBuilder",
     "Dataset",
     "Gate",
     "GateKind",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ir import depth as circuit_depth
 from .lowering import lower
-from .synthesis import plan, synthesize
+from .synthesis import split, synthesize
 
 SCAN_FIELDS = ("N", "n", "xi", "M", "g", "m", "cnot", "case")
 SUMMARY_FIELDS = ("n", "max", "mean")
@@ -54,13 +54,8 @@ def cnot_count(N: int) -> int:
     Equals g + m - 3 for g >= 2 and 0 otherwise, where g is the set-bit
     count of N and m the bit width of its odd cofactor.
     """
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    g = bin(N).count("1")
-    if g < 2:
-        return 0
-    M = N >> ((N & -N).bit_length() - 1)
-    return g + M.bit_length() - 3
+    _, _, _, g, m = split(N)
+    return _count(g, m)
 
 
 def classify(N: int) -> Case:
@@ -73,14 +68,22 @@ def classify(N: int) -> Case:
     """
     if N < 2:
         raise ValueError(f"classification requires N >= 2, got {N}")
-    g = bin(N).count("1")
+    n, xi, _, g, _ = split(N)
+    return _case(n, xi, g)
+
+
+def _count(g: int, m: int) -> int:
+    return g + m - 3 if g >= 2 else 0
+
+
+def _case(n: int, xi: int, g: int) -> Case:
     if g == 1:
         return Case.I
-    if N % 2 == 0:
+    if xi:
         return Case.V
     if g == 2:
         return Case.II
-    if g == (N - 1).bit_length():
+    if g == n:
         return Case.III
     return Case.IV
 
@@ -98,13 +101,13 @@ class ResourceReport:
 
 def resource_report(N: int) -> ResourceReport:
     """Per-N resource summary, including the lowered circuit depth."""
-    pl = plan(N)
+    n, _, _, g, m = split(N)
     lowered, _ = lower(synthesize(N))
     return ResourceReport(
         N=N,
-        n=pl.n,
-        g=pl.g,
-        m=pl.m,
+        n=n,
+        g=g,
+        m=m,
         cnot_count=cnot_count(N),
         case=classify(N),
         depth=circuit_depth(lowered),
@@ -156,12 +159,8 @@ def scan_rows(n_max: int) -> Iterator[ScanRow]:
         raise ValueError(f"n_max must be within {MIN_SCAN_N_MAX}..{MAX_SCAN_N_MAX}, got {n_max}")
     for n in range(2, n_max + 1):
         for N in range((1 << (n - 1)) + 1, (1 << n) + 1):
-            xi = (N & -N).bit_length() - 1
-            M = N >> xi
-            g = bin(N).count("1")
-            m = M.bit_length() if M > 1 else 0
-            cnot = g + m - 3 if g >= 2 else 0
-            yield ScanRow(N=N, n=n, xi=xi, M=M, g=g, m=m, cnot=cnot, case=classify(N))
+            _, xi, M, g, m = split(N)
+            yield ScanRow(N=N, n=n, xi=xi, M=M, g=g, m=m, cnot=_count(g, m), case=_case(n, xi, g))
 
 
 def summarize(rows: Iterable[ScanRow]) -> ScanStats:

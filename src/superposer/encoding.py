@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .synthesis import split
+
 MAPPING_VERSION = 1
 
 
@@ -48,9 +50,7 @@ class Dataset:
 
 def build_indices(N: int) -> tuple[int, tuple[str, ...]]:
     """Width n and the N address strings encoding 0..N-1 on n bits."""
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    n = max(1, (N - 1).bit_length())
+    n = split(N)[0]
     return n, tuple(format(value, f"0{n}b") for value in range(N))
 
 

@@ -170,60 +170,6 @@ class Circuit:
         return iter(self.gates)
 
 
-class CircuitBuilder:
-    """Append-only circuit constructor; ``freeze()`` yields the Circuit.
-
-    A frozen builder rejects further appends, so a Circuit can never be
-    extended through the builder that produced it.
-    """
-
-    def __init__(self, n_qubits: int, level: Level = Level.ABSTRACT):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits {n_qubits} must be at least 1")
-        self.n_qubits = n_qubits
-        self.level = level
-        self._gates: list[Gate] = []
-        self._frozen = False
-
-    def append(self, gate: Gate) -> CircuitBuilder:
-        if self._frozen:
-            raise RuntimeError("builder already frozen")
-        _check_gate(gate, self.n_qubits, self.level, len(self._gates))
-        self._gates.append(gate)
-        return self
-
-    def h(self, target: int) -> CircuitBuilder:
-        return self.append(Gate.h(target))
-
-    def x(self, target: int) -> CircuitBuilder:
-        return self.append(Gate.x(target))
-
-    def z(self, target: int) -> CircuitBuilder:
-        return self.append(Gate.z(target))
-
-    def ry(self, target: int, angle: float) -> CircuitBuilder:
-        return self.append(Gate.ry(target, angle))
-
-    def g(self, target: int, prob: Fraction) -> CircuitBuilder:
-        return self.append(Gate.g(target, prob))
-
-    def cg(self, control: int, target: int, prob: Fraction) -> CircuitBuilder:
-        return self.append(Gate.cg(control, target, prob))
-
-    def zero_ch(self, control: int, target: int) -> CircuitBuilder:
-        return self.append(Gate.zero_ch(control, target))
-
-    def cnot(self, control: int, target: int) -> CircuitBuilder:
-        return self.append(Gate.cnot(control, target))
-
-    def cz(self, control: int, target: int) -> CircuitBuilder:
-        return self.append(Gate.cz(control, target))
-
-    def freeze(self) -> Circuit:
-        self._frozen = True
-        return Circuit(self.n_qubits, tuple(self._gates), self.level)
-
-
 def gate_histogram(circuit: Circuit) -> dict[GateKind, int]:
     """Count gates by kind."""
     return dict(Counter(gate.kind for gate in circuit.gates))

@@ -10,9 +10,9 @@ Controlled rotation CG(p), control active on |1>:
     Control |0>: the CNOT is inert and RY(-a) RY(a) = I, so |c=0, t=0> is
     fixed exactly. Control |1>: RY(-a) X RY(a) = [[sin a, cos a],
     [cos a, -sin a]], sending |0> to sqrt(p)|0> + sqrt(1-p)|1>. The
-    rewrite therefore matches CG(p) only on inputs whose target is |0>;
-    synthesis guarantees that every CG it emits targets a qubit no
-    earlier gate has touched, so the assumption always holds there.
+    rewrite therefore matches CG(p) only on inputs whose target is |0>.
+    ``lower`` checks this: every CG must target a qubit no earlier gate
+    has touched, which synthesis always guarantees.
 
 Zero-controlled Hadamard ZERO_CH, control active on |0>:
 
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ir import Circuit, CircuitBuilder, Gate, GateKind, Level, entangler_count
+from .ir import Circuit, Gate, GateKind, Level, entangler_count
 
 TARGET_ZERO = "target-in-|0>"
 
@@ -84,25 +84,32 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
 
     Gates already in the lowered set pass through unchanged. The report
     counts entanglers and single-qubit gates in the output and records,
-    per abstract gate index, every use of the |0>-target assumption.
+    per abstract gate index, every use of the |0>-target assumption. A CG
+    whose target an earlier gate has touched breaks that assumption, so it
+    is rejected with its gate index instead of being lowered wrongly.
     """
     if circuit.level is not Level.ABSTRACT:
         raise ValueError("circuit is already lowered")
-    builder = CircuitBuilder(circuit.n_qubits, Level.LOWERED)
+    gates: list[Gate] = []
     assumptions: list[Assumption] = []
+    touched: set[int] = set()
     for i, gate in enumerate(circuit.gates):
         if gate.kind is GateKind.G:
-            replacement = lower_g(gate.prob, gate.target)
+            gates += lower_g(gate.prob, gate.target)
         elif gate.kind is GateKind.CG:
-            replacement = lower_cg(gate.prob, gate.control, gate.target)
+            if gate.target in touched:
+                raise ValueError(
+                    f"gate {i}: CG target {gate.target} was touched by an earlier gate, "
+                    "but its one-CNOT rewrite needs the target in |0>"
+                )
+            gates += lower_cg(gate.prob, gate.control, gate.target)
             assumptions.append(Assumption(gate_index=i))
         elif gate.kind is GateKind.ZERO_CH:
-            replacement = lower_zero_ch(gate.control, gate.target)
+            gates += lower_zero_ch(gate.control, gate.target)
         else:
-            replacement = [gate]
-        for lowered_gate in replacement:
-            builder.append(lowered_gate)
-    lowered = builder.freeze()
+            gates.append(gate)
+        touched.update(gate.qubits)
+    lowered = Circuit(circuit.n_qubits, tuple(gates), Level.LOWERED)
     entanglers = entangler_count(lowered)
     report = LoweringReport(
         entanglers_emitted=entanglers,

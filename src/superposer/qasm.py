@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .ir import Circuit, CircuitBuilder, Gate, GateKind, Level
+from .ir import Circuit, Gate, GateKind, Level
 
 _HEADER = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
@@ -87,7 +87,7 @@ def parse_qasm(text: str) -> Circuit:
         raise QasmParseError(lineno, qreg.start(2) + 1, "register must hold at least 1 qubit")
 
     patterns = _operand_patterns(register)
-    builder = CircuitBuilder(n_qubits, Level.LOWERED)
+    gates: list[Gate] = []
 
     def check_qubit(value: str, lineno: int, column: int) -> int:
         q = int(value)
@@ -104,7 +104,7 @@ def parse_qasm(text: str) -> Circuit:
             if not match:
                 raise QasmParseError(lineno, column, f"malformed '{word}' statement")
             target = check_qubit(match.group(2), lineno, match.start(2) + 1)
-            builder.append(Gate(GateKind(word), target))
+            gates.append(Gate(GateKind(word), target))
         elif word == "ry":
             match = patterns["ry"].match(raw)
             if not match:
@@ -117,7 +117,7 @@ def parse_qasm(text: str) -> Circuit:
                 ) from None
             target = check_qubit(match.group(2), lineno, match.start(2) + 1)
             try:
-                builder.ry(target, angle)
+                gates.append(Gate.ry(target, angle))
             except ValueError as exc:
                 raise QasmParseError(lineno, match.start(1) + 1, str(exc)) from None
         elif word in ("cx", "cz"):
@@ -126,11 +126,9 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmParseError(lineno, column, f"malformed '{word}' statement")
             control = check_qubit(match.group(2), lineno, match.start(2) + 1)
             target = check_qubit(match.group(3), lineno, match.start(3) + 1)
+            make = Gate.cnot if word == "cx" else Gate.cz
             try:
-                if word == "cx":
-                    builder.cnot(control, target)
-                else:
-                    builder.cz(control, target)
+                gates.append(make(control, target))
             except ValueError as exc:
                 raise QasmParseError(lineno, column, str(exc)) from None
         elif word == "qreg":
@@ -139,4 +137,4 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmParseError(lineno, column, f"gate '{word}' outside the supported subset")
         else:
             raise QasmParseError(lineno, column, "expected a gate statement")
-    return builder.freeze()
+    return Circuit(n_qubits, tuple(gates), Level.LOWERED)

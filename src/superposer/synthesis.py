@@ -12,36 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .ir import Circuit, CircuitBuilder
-
-
-@dataclass(frozen=True)
-class BitOrderConvention:
-    """Fixed register convention used everywhere in this package.
-
-    Qubit ``msb_qubit`` (always 0) holds the most significant bit, so the
-    basis index of |j0 j1 ... j_{n-1}> is sum(j_k * 2**(n-1-k)).
-    """
-
-    msb_qubit: int = 0
-
-    def index_of(self, bits: Sequence[int]) -> int:
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError(f"bit {b!r} must be 0 or 1")
-            value = value << 1 | b
-        return value
-
-    def bits_of(self, index: int, n_qubits: int) -> tuple[int, ...]:
-        if not 0 <= index < 1 << n_qubits:
-            raise ValueError(f"index {index} out of range for {n_qubits} qubits")
-        return tuple(index >> (n_qubits - 1 - k) & 1 for k in range(n_qubits))
-
-
-BIT_ORDER = BitOrderConvention()
+from .ir import Circuit, Gate
 
 
 @dataclass(frozen=True)
@@ -71,14 +43,6 @@ class SynthesisPlan:
     k: tuple[int, ...]
     p: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.N != (1 << self.xi) * self.M:
-            raise ValueError("inconsistent plan: N != 2**xi * M")
-        if self.g != bin(self.N).count("1"):
-            raise ValueError("inconsistent plan: g is not the set-bit count of N")
-        if len(self.k) != max(self.g - 1, 0) or len(self.p) != max(self.g - 1, 0):
-            raise ValueError("inconsistent plan: k and p must have g - 1 entries")
-
 
 def factor(N: int) -> tuple[int, int]:
     """Split N into (xi, M) with N = 2**xi * M and M odd."""
@@ -86,6 +50,17 @@ def factor(N: int) -> tuple[int, int]:
         raise ValueError(f"N must be a positive integer, got {N}")
     xi = (N & -N).bit_length() - 1
     return xi, N >> xi
+
+
+def split(N: int) -> tuple[int, int, int, int, int]:
+    """The N arithmetic every module reads: (n, xi, M, g, m) for N >= 1.
+
+    n is the register width max(1, ceil(log2 N)), N = 2**xi * M with M
+    odd, g is the set-bit count of N (equal to that of M) and m is the bit
+    width of M, or 0 when M == 1.
+    """
+    xi, M = factor(N)
+    return max(1, (N - 1).bit_length()), xi, M, M.bit_count(), M.bit_length() if M > 1 else 0
 
 
 def binary_decompose(M: int) -> tuple[int, tuple[int, ...]]:
@@ -96,9 +71,8 @@ def binary_decompose(M: int) -> tuple[int, tuple[int, ...]]:
     """
     if M < 3 or M % 2 == 0:
         raise ValueError(f"M must be an odd integer >= 3, got {M}")
-    g = bin(M).count("1")
     k = tuple(i for i in range(M.bit_length() - 1, 0, -1) if M >> i & 1)
-    return g, k
+    return len(k) + 1, k
 
 
 def rotation_params(M: int) -> tuple[Fraction, ...]:
@@ -119,12 +93,11 @@ def rotation_params(M: int) -> tuple[Fraction, ...]:
 
 def plan(N: int) -> SynthesisPlan:
     """Compute the full arithmetic decomposition for N."""
-    xi, M = factor(N)
-    n = max(1, (N - 1).bit_length())
+    n, xi, M, g, m = split(N)
     if M == 1:
-        return SynthesisPlan(N=N, n=n, xi=xi, M=1, m=0, g=1, k=(), p=())
-    g, k = binary_decompose(M)
-    return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=k[0] + 1, g=g, k=k, p=rotation_params(M))
+        return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=(), p=())
+    _, k = binary_decompose(M)
+    return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=k, p=rotation_params(M))
 
 
 def synthesize(N: int) -> Circuit:
@@ -145,18 +118,18 @@ def synthesize(N: int) -> Circuit:
     times, which is what makes the N indices consecutive from 0.
     """
     pl = plan(N)
-    builder = CircuitBuilder(pl.n)
+    gates: list[Gate] = []
     if pl.M > 1:
         m, g, k, p = pl.m, pl.g, pl.k, pl.p
-        builder.g(0, p[0])
+        gates.append(Gate.g(0, p[0]))
         for i in range(1, g - 1):
-            builder.cg(m - k[i - 1] - 1, m - k[i] - 1, p[i])
+            gates.append(Gate.cg(m - k[i - 1] - 1, m - k[i] - 1, p[i]))
         last = k[g - 2]
         for j in range(last):
-            builder.zero_ch(m - last - 1, m - last + j)
+            gates.append(Gate.zero_ch(m - last - 1, m - last + j))
         for j in range(g - 2, 0, -1):
             for offset in range(1, k[j - 1] - k[j] + 1):
-                builder.zero_ch(m - k[j - 1] - 1, m - k[j] - offset)
+                gates.append(Gate.zero_ch(m - k[j - 1] - 1, m - k[j] - offset))
     for q in range(pl.n - pl.xi, pl.n):
-        builder.h(q)
-    return builder.freeze()
+        gates.append(Gate.h(q))
+    return Circuit(pl.n, tuple(gates))

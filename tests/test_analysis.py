@@ -12,7 +12,7 @@ from superposer.analysis import (
 )
 from superposer.ir import entangler_count
 from superposer.lowering import lower
-from superposer.synthesis import synthesize
+from superposer.synthesis import plan, synthesize
 
 
 def test_cnot_count_examples():
@@ -152,3 +152,10 @@ def test_resource_report():
     assert report.cnot_count == 6
     assert report.case is Case.IV
     assert report.depth >= 1
+
+
+def test_scan_rows_match_plan_and_lowered_circuits():
+    for row in scan_rows(10):
+        pl = plan(row.N)
+        assert (row.n, row.xi, row.M, row.g, row.m) == (pl.n, pl.xi, pl.M, pl.g, pl.m)
+        assert row.cnot == entangler_count(lower(synthesize(row.N))[0])

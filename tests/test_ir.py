@@ -5,7 +5,6 @@ import pytest
 
 from superposer.ir import (
     Circuit,
-    CircuitBuilder,
     Gate,
     GateKind,
     Level,
@@ -18,36 +17,28 @@ from superposer.synthesis import synthesize
 
 
 def test_builder_appends_in_order():
-    circuit = CircuitBuilder(2).h(0).cnot(0, 1).freeze()
+    circuit = Circuit(2, [Gate.h(0), Gate.cnot(0, 1)])
     assert [g.kind for g in circuit.gates] == [GateKind.H, GateKind.CNOT]
     assert circuit.n_qubits == 2
     assert circuit.level is Level.ABSTRACT
 
 
 def test_builder_rejects_out_of_range_operand():
-    with pytest.raises(ValueError, match="out of range"):
-        CircuitBuilder(2).h(2)
-    with pytest.raises(ValueError, match="out of range"):
-        CircuitBuilder(2).cnot(0, 5)
+    with pytest.raises(ValueError, match="gate 1: qubit 2 out of range"):
+        Circuit(2, (Gate.h(0), Gate.h(2)))
+    with pytest.raises(ValueError, match="gate 0: qubit 5 out of range"):
+        Circuit(2, (Gate.cnot(0, 5),))
 
 
 def test_lowered_builder_rejects_abstract_kinds():
-    builder = CircuitBuilder(2, Level.LOWERED)
     with pytest.raises(ValueError, match="not allowed"):
-        builder.zero_ch(0, 1)
+        Circuit(2, (Gate.zero_ch(0, 1),), Level.LOWERED)
     with pytest.raises(ValueError, match="not allowed"):
-        builder.g(0, Fraction(1, 2))
-
-
-def test_frozen_builder_rejects_append():
-    builder = CircuitBuilder(1)
-    builder.freeze()
-    with pytest.raises(RuntimeError, match="frozen"):
-        builder.h(0)
+        Circuit(2, (Gate.g(0, Fraction(1, 2)),), Level.LOWERED)
 
 
 def test_circuit_fields_are_immutable():
-    circuit = CircuitBuilder(1).h(0).freeze()
+    circuit = Circuit(1, (Gate.h(0),))
     with pytest.raises(dataclasses.FrozenInstanceError):
         circuit.n_qubits = 2
 
@@ -131,6 +122,6 @@ def test_circuits_compare_by_value():
 
 
 def test_depth():
-    assert depth(CircuitBuilder(3).freeze()) == 0
-    assert depth(CircuitBuilder(3).h(0).h(1).h(2).freeze()) == 1
-    assert depth(CircuitBuilder(2).h(0).cnot(0, 1).h(1).freeze()) == 3
+    assert depth(Circuit(3, ())) == 0
+    assert depth(Circuit(3, (Gate.h(0), Gate.h(1), Gate.h(2)))) == 1
+    assert depth(Circuit(2, (Gate.h(0), Gate.cnot(0, 1), Gate.h(1)))) == 3

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import matrix_oracle as mo
-from superposer.ir import GateKind, Level, entangler_count
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from superposer.ir import Circuit, Gate, GateKind, Level, entangler_count
 from superposer.lowering import (
     Assumption,
     lower,
@@ -143,3 +145,46 @@ def test_cg_rewrite_holds_for_random_probabilities():
         ideal = mo.cg_ideal(p)
         for column in (0, 2):
             assert np.max(np.abs(u[:, column] - ideal[:, column])) < 1e-12
+
+
+def test_lower_rejects_cg_on_a_touched_target():
+    # A valid abstract circuit whose CG target is no longer |0>: the
+    # one-CNOT rewrite would silently prepare a different state.
+    abstract = Circuit(2, (Gate.h(0), Gate.h(1), Gate.cg(0, 1, Fraction(1, 3))))
+    rewritten = Circuit(2, [Gate.h(0), Gate.h(1)] + lower_cg(Fraction(1, 3), 0, 1), Level.LOWERED)
+    assert np.max(np.abs(run(rewritten).amps - run(abstract).amps)) > 0.8
+    with pytest.raises(ValueError, match="gate 2: CG target 1"):
+        lower(abstract)
+
+
+def _abstract_gates(n):
+    qubit = st.integers(0, n - 1)
+    pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+    prob = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+    return st.one_of(
+        st.builds(Gate.h, qubit),
+        st.builds(Gate.x, qubit),
+        st.builds(Gate.z, qubit),
+        st.builds(Gate.ry, qubit, st.floats(-7, 7)),
+        st.builds(Gate.g, qubit, prob),
+        st.builds(lambda cq, p: Gate.cg(*cq, p), pair, prob),
+        pair.map(lambda cq: Gate.zero_ch(*cq)),
+        pair.map(lambda cq: Gate.cnot(*cq)),
+        pair.map(lambda cq: Gate.cz(*cq)),
+    )
+
+
+_abstract_circuits = st.integers(2, 4).flatmap(
+    lambda n: st.lists(_abstract_gates(n), max_size=12).map(lambda gates: Circuit(n, gates))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_abstract_circuits)
+def test_lower_either_raises_or_preserves_the_state(abstract):
+    try:
+        lowered, _ = lower(abstract)
+    except ValueError as exc:
+        assert "CG target" in str(exc)
+        return
+    assert np.max(np.abs(run(lowered).amps - run(abstract).amps)) < 1e-12

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superposer.ir import CircuitBuilder, Level
+from superposer.ir import Level
 from superposer.lowering import lower
 from superposer.qasm import QasmParseError, emit_qasm, parse_qasm
 from superposer.synthesis import synthesize

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from superposer.ir import CircuitBuilder, Gate
+from superposer.ir import Circuit, Gate
 from superposer.simulator import (
     QUBIT_CAP,
     apply,
@@ -84,7 +84,7 @@ def test_hadamard_is_its_own_inverse():
 
 
 def test_run_empty_circuit():
-    state = run(CircuitBuilder(1).freeze())
+    state = run(Circuit(1, ()))
     assert np.allclose(state.amps, [1, 0])
 
 

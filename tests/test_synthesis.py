@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superposer.ir import CircuitBuilder, GateKind, gate_histogram
+from superposer.ir import Circuit, Gate, GateKind, gate_histogram
 from superposer.simulator import run, uniform_distance
 from superposer.synthesis import (
-    BIT_ORDER,
     binary_decompose,
     factor,
     plan,
     rotation_params,
+    split,
     synthesize,
 )
 
@@ -35,6 +35,26 @@ def test_factor_reconstructs(N):
     xi, M = factor(N)
     assert M % 2 == 1
     assert (M << xi) == N
+
+
+def test_split_examples():
+    assert split(1) == (1, 0, 1, 1, 0)
+    assert split(2) == (1, 1, 1, 1, 0)
+    assert split(7) == (3, 0, 7, 3, 3)
+    assert split(12) == (4, 2, 3, 2, 2)
+    assert split(16) == (4, 4, 1, 1, 0)
+    with pytest.raises(ValueError, match="positive"):
+        split(0)
+
+
+@given(st.integers(min_value=1, max_value=1 << 200))
+def test_split_matches_the_binary_string(N):
+    bits = format(N, "b")
+    odd = bits.rstrip("0")
+    n, xi, M, g, m = split(N)
+    assert n == max(1, len(format(N - 1, "b")))
+    assert (xi, M, g) == (len(bits) - len(odd), int(odd, 2), bits.count("1"))
+    assert m == (0 if odd == "1" else len(odd))
 
 
 def test_binary_decompose_examples():
@@ -70,14 +90,12 @@ def test_rotation_params_renormalize_against_the_residual():
     # The second split must divide by what is left (7 - 4 = 3), not by
     # the full mass. Using the share-of-total 2/7 instead leaves the
     # state visibly non-uniform, so the two choices cannot be confused.
-    wrong = (
-        CircuitBuilder(3)
-        .g(0, Fraction(4, 7))
-        .cg(0, 1, Fraction(2, 7))
-        .zero_ch(1, 2)
-        .zero_ch(0, 1)
-        .freeze()
-    )
+    wrong = Circuit(3, (
+        Gate.g(0, Fraction(4, 7)),
+        Gate.cg(0, 1, Fraction(2, 7)),
+        Gate.zero_ch(1, 2),
+        Gate.zero_ch(0, 1),
+    ))
     assert uniform_distance(run(wrong), 7) > 0.05
     assert uniform_distance(run(synthesize(7)), 7) < 1e-12
 
@@ -190,11 +208,3 @@ def test_probabilities_stay_exact():
 @given(st.integers(min_value=1, max_value=512))
 def test_synthesized_state_is_uniform(N):
     assert uniform_distance(run(synthesize(N)), N) < 1e-12
-
-
-def test_bit_order_round_trip():
-    assert BIT_ORDER.index_of((1, 0, 1)) == 5
-    assert BIT_ORDER.bits_of(5, 3) == (1, 0, 1)
-    assert BIT_ORDER.msb_qubit == 0
-    for idx in range(16):
-        assert BIT_ORDER.index_of(BIT_ORDER.bits_of(idx, 4)) == idx
