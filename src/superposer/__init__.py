@@ -50,10 +50,7 @@ from .simulator import (
 )
 from .synthesis import (
     SynthesisPlan,
-    binary_decompose,
-    factor,
     plan,
-    rotation_params,
     synthesize,
 )
 
@@ -78,7 +75,6 @@ __all__ = [
     "StateVector",
     "SynthesisPlan",
     "apply",
-    "binary_decompose",
     "build_indices",
     "build_mapping",
     "classify",
@@ -88,7 +84,6 @@ __all__ = [
     "emit_document",
     "emit_qasm",
     "entangler_count",
-    "factor",
     "gate_histogram",
     "init_zero",
     "lower",
@@ -100,7 +95,6 @@ __all__ = [
     "parse_qasm",
     "plan",
     "resource_report",
-    "rotation_params",
     "run",
     "scan",
     "scan_rows",

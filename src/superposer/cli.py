@@ -132,13 +132,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     dataset = encoding.Dataset.from_path(args.dataset)
     mapping = encoding.build_mapping(dataset, args.seed)
-    Path(args.mapping_out).write_bytes(encoding.serialize(mapping))
     lowered, _ = lowering.lower(synthesis.synthesize(dataset.size))
+    data = encoding.serialize(mapping)
     if args.circuit_out.endswith(".qasm"):
         text = qasm.emit_qasm(lowered)
     else:
         text = document.emit_document(lowered)
-    Path(args.circuit_out).write_text(text)
+    # Never leave a mapping behind without the circuit it belongs to.
+    mapping_out = Path(args.mapping_out)
+    mapping_out.write_bytes(data)
+    try:
+        Path(args.circuit_out).write_text(text)
+    except OSError:
+        mapping_out.unlink(missing_ok=True)
+        raise
     print(f"N={dataset.size} n={mapping.n} cnots={entangler_count(lowered)}")
     return 0
 

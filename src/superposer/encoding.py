@@ -59,8 +59,9 @@ class AddressMap:
     """A bijection between the N address strings and record ordinals.
 
     ``pairs`` holds (address string, record ordinal) in address order.
-    Construction validates widths, coverage of 0..N-1 on both sides, and
-    bijectivity, so an AddressMap that exists is always well formed.
+    Construction validates the width, that the address strings are exactly
+    those of 0..N-1 in that order, and that the ordinals are a permutation
+    of 0..N-1, so an AddressMap that exists is always well formed.
     """
 
     n: int
@@ -75,18 +76,14 @@ class AddressMap:
         expected_n, expected_bits = build_indices(N)
         if self.n != expected_n:
             raise ValueError(f"width {self.n} does not match {expected_n} for {N} records")
-        bits = [b for b, _ in self.pairs]
         ordinals = [o for _, o in self.pairs]
-        for b in bits:
-            if len(b) != self.n or set(b) - {"0", "1"}:
-                raise ValueError(f"bad address string {b!r} for width {self.n}")
         for o in ordinals:
             if not isinstance(o, int) or isinstance(o, bool) or not 0 <= o < N:
                 raise ValueError(f"record ordinal {o!r} outside 0..{N - 1}")
-        if len(set(bits)) != N or len(set(ordinals)) != N:
+        if len(set(ordinals)) != N:
             raise ValueError("mapping not bijective")
-        if set(bits) != set(expected_bits):
-            raise ValueError(f"address strings must cover exactly 0..{N - 1}")
+        if tuple(b for b, _ in self.pairs) != expected_bits:
+            raise ValueError(f"address strings must cover exactly 0..{N - 1}, in address order")
         object.__setattr__(self, "_forward", dict(self.pairs))
         object.__setattr__(self, "_backward", {o: b for b, o in self.pairs})
 

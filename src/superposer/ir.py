@@ -43,10 +43,6 @@ LOWERED_KINDS = frozenset(
     {GateKind.H, GateKind.X, GateKind.Z, GateKind.RY, GateKind.CNOT, GateKind.CZ}
 )
 
-# Gates that lower to (or already are) a two-qubit entangling primitive.
-ABSTRACT_ENTANGLERS = frozenset({GateKind.CG, GateKind.ZERO_CH})
-LOWERED_ENTANGLERS = frozenset({GateKind.CNOT, GateKind.CZ})
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -91,9 +87,13 @@ class Gate:
         if self.kind is GateKind.RY:
             if self.angle is None:
                 raise ValueError("RY requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
-            if not math.isfinite(self.angle):
-                raise ValueError(f"angle {self.angle} must be finite")
+            try:
+                angle = float(self.angle)
+            except OverflowError:
+                angle = math.inf
+            if not math.isfinite(angle):
+                raise ValueError(f"angle {angle} must be finite")
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise ValueError(f"{self.kind.name} does not take an angle")
 
@@ -176,13 +176,12 @@ def gate_histogram(circuit: Circuit) -> dict[GateKind, int]:
 
 
 def entangler_count(circuit: Circuit) -> int:
-    """Number of two-qubit entangling gates.
+    """Number of two-qubit entangling gates, at either level.
 
-    Abstract circuits count CG and ZERO_CH (each lowers to exactly one
-    entangler); lowered circuits count CNOT and CZ.
+    Every two-qubit gate costs exactly one entangler: CNOT and CZ are one,
+    and lowering rewrites each CG and ZERO_CH with exactly one of them.
     """
-    kinds = ABSTRACT_ENTANGLERS if circuit.level is Level.ABSTRACT else LOWERED_ENTANGLERS
-    return sum(1 for gate in circuit.gates if gate.kind in kinds)
+    return sum(1 for gate in circuit.gates if gate.kind in TWO_QUBIT_KINDS)
 
 
 def depth(circuit: Circuit) -> int:

@@ -2,6 +2,9 @@
 
 Every two-qubit abstract gate is rewritten with exactly one entangling
 gate. Convention: RY(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].
+A probability outside [0, 1] raises ValueError with no check of its own:
+math.sqrt, math.acos or math.asin reject it, and a nan gives a nan angle,
+which Gate.ry rejects.
 
 Controlled rotation CG(p), control active on |1>:
 
@@ -51,20 +54,14 @@ class LoweringReport:
     assumptions_used: tuple[Assumption, ...] = field(default_factory=tuple)
 
 
-def _check_prob(p: Fraction | float) -> float:
-    if not 0 <= p <= 1:
-        raise ValueError(f"prob {p} outside [0, 1]")
-    return float(p)
-
-
 def lower_g(p: Fraction | float, target: int) -> list[Gate]:
     """G(p) = RY(2 acos sqrt(p)), exactly, with no entangler."""
-    return [Gate.ry(target, 2.0 * math.acos(math.sqrt(_check_prob(p))))]
+    return [Gate.ry(target, 2.0 * math.acos(math.sqrt(p)))]
 
 
 def lower_cg(p: Fraction | float, control: int, target: int) -> list[Gate]:
     """One-CNOT rewrite of CG(p), exact on |0> targets (see module doc)."""
-    a = math.asin(math.sqrt(_check_prob(p)))
+    a = math.asin(math.sqrt(p))
     return [Gate.ry(target, a), Gate.cnot(control, target), Gate.ry(target, -a)]
 
 

@@ -105,7 +105,9 @@ def run(circuit: Circuit) -> StateVector:
     state = init_zero(circuit.n_qubits)
     for gate in circuit.gates:
         _apply_inplace(state.amps, gate, circuit.n_qubits)
-    assert abs(state.norm() - 1.0) < 1e-10
+    norm = state.norm()
+    if not abs(norm - 1.0) < 1e-10:
+        raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
     return state
 
 

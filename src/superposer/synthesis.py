@@ -44,14 +44,6 @@ class SynthesisPlan:
     p: tuple[Fraction, ...]
 
 
-def factor(N: int) -> tuple[int, int]:
-    """Split N into (xi, M) with N = 2**xi * M and M odd."""
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
-    xi = (N & -N).bit_length() - 1
-    return xi, N >> xi
-
-
 def split(N: int) -> tuple[int, int, int, int, int]:
     """The N arithmetic every module reads: (n, xi, M, g, m) for N >= 1.
 
@@ -59,45 +51,29 @@ def split(N: int) -> tuple[int, int, int, int, int]:
     odd, g is the set-bit count of N (equal to that of M) and m is the bit
     width of M, or 0 when M == 1.
     """
-    xi, M = factor(N)
+    if N < 1:
+        raise ValueError(f"N must be a positive integer, got {N}")
+    xi = (N & -N).bit_length() - 1
+    M = N >> xi
     return max(1, (N - 1).bit_length()), xi, M, M.bit_count(), M.bit_length() if M > 1 else 0
 
 
-def binary_decompose(M: int) -> tuple[int, tuple[int, ...]]:
-    """Set-bit count g of an odd M >= 3 and the exponents above bit 0.
-
-    Returns (g, k) with k strictly decreasing and
-    M == 2**k[0] + ... + 2**k[g-2] + 1.
-    """
-    if M < 3 or M % 2 == 0:
-        raise ValueError(f"M must be an odd integer >= 3, got {M}")
-    k = tuple(i for i in range(M.bit_length() - 1, 0, -1) if M >> i & 1)
-    return len(k) + 1, k
-
-
-def rotation_params(M: int) -> tuple[Fraction, ...]:
-    """Branch probabilities for the odd-part subcircuit, as exact rationals.
-
-    Split i peels probability mass 2**k[i] off the not-yet-assigned
-    remainder, so the denominator shrinks by 2**k[i-1] at each step:
-    p[i] = 2**k[i] / (M - 2**k[0] - ... - 2**k[i-1]).
-    """
-    g, k = binary_decompose(M)
-    remaining = M
-    probs = [Fraction(1 << k[0], remaining)]
-    for i in range(1, g - 1):
-        remaining -= 1 << k[i - 1]
-        probs.append(Fraction(1 << k[i], remaining))
-    return tuple(probs)
-
-
 def plan(N: int) -> SynthesisPlan:
-    """Compute the full arithmetic decomposition for N."""
+    """Compute the full arithmetic decomposition for N.
+
+    One pass over the set bits of M above bit 0, from the top down, yields
+    k and p together; for M == 1 there are none, so both are empty.
+    """
     n, xi, M, g, m = split(N)
-    if M == 1:
-        return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=(), p=())
-    _, k = binary_decompose(M)
-    return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=k, p=rotation_params(M))
+    k: list[int] = []
+    p: list[Fraction] = []
+    remaining = M
+    for i in range(m - 1, 0, -1):
+        if M >> i & 1:
+            k.append(i)
+            p.append(Fraction(1 << i, remaining))
+            remaining -= 1 << i
+    return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=tuple(k), p=tuple(p))
 
 
 def synthesize(N: int) -> Circuit:

@@ -143,6 +143,19 @@ def test_encode_circuit_doc_when_not_qasm(tmp_path, capsys):
     assert doc["level"] == "lowered"
 
 
+def test_encode_leaves_no_mapping_when_the_circuit_write_fails(tmp_path, capsys):
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"a\nb\nc\n")
+    mapping_path = tmp_path / "m.json"
+    assert main([
+        "encode", str(dataset),
+        "--mapping-out", str(mapping_path),
+        "--circuit-out", str(tmp_path / "nodir" / "c.qasm"),
+    ]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not mapping_path.exists()
+
+
 def test_encode_rejects_missing_and_empty_datasets(tmp_path, capsys):
     missing = tmp_path / "nope.txt"
     assert main([

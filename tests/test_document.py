@@ -91,6 +91,13 @@ def test_parse_rejects_unknown_gate_fields():
         parse_document(json.dumps(doc))
 
 
+def test_parse_rejects_an_angle_too_large_for_a_float():
+    doc = json.loads(emit_document(lower(synthesize(3))[0]))
+    doc["gates"][0]["angle"] = 10**400
+    with pytest.raises(ValueError, match="gate 0: angle .* must be finite"):
+        parse_document(json.dumps(doc))
+
+
 def test_parse_reports_gate_index_on_bad_operands():
     doc = json.loads(emit_document(synthesize(3)))
     doc["gates"][1]["control"] = doc["gates"][1]["target"]

@@ -102,6 +102,12 @@ def test_deserialize_rejects_bad_documents():
         )
 
 
+def test_deserialize_rejects_addresses_out_of_order():
+    # A bijection, but pairs must list the addresses in address order.
+    with pytest.raises(ValueError, match="cover exactly"):
+        deserialize(b'{"version": 1, "N": 2, "n": 1, "seed": 0, "pairs": [["1", 0], ["0", 1]]}')
+
+
 def test_deserialize_rejects_wrong_width():
     with pytest.raises(ValueError, match="width"):
         deserialize(b'{"version": 1, "N": 2, "n": 2, "seed": 0, "pairs": [["00", 0], ["01", 1]]}')

@@ -87,6 +87,8 @@ def test_gate_prob_range():
 def test_gate_angle_must_be_finite():
     with pytest.raises(ValueError, match="finite"):
         Gate.ry(0, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        Gate.ry(0, 10**400)
 
 
 def test_gate_histogram_examples():
@@ -106,6 +108,9 @@ def test_entangler_count_examples():
     assert entangler_count(synthesize(16)) == 0
     lowered31, _ = lower(synthesize(31))
     assert entangler_count(lowered31) == 7
+    # An abstract circuit may hold lowered-level entanglers too.
+    assert entangler_count(Circuit(2, [Gate.h(0), Gate.cnot(0, 1)])) == 1
+    assert entangler_count(Circuit(2, [Gate.cz(0, 1), Gate.zero_ch(1, 0)])) == 2
 
 
 def test_entangler_count_is_preserved_by_lowering():

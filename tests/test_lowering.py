@@ -188,3 +188,4 @@ def test_lower_either_raises_or_preserves_the_state(abstract):
         assert "CG target" in str(exc)
         return
     assert np.max(np.abs(run(lowered).amps - run(abstract).amps)) < 1e-12
+    assert entangler_count(lowered) == entangler_count(abstract)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superposer
 from superposer.ir import Circuit, Gate
 from superposer.simulator import (
     QUBIT_CAP,
@@ -93,6 +98,37 @@ def test_run_lowered_n7():
     amps = run(lowered).amps
     assert np.allclose(amps[:7], np.full(7, 1 / math.sqrt(7)))
     assert abs(amps[7]) < 1e-15
+
+
+_SCALING_KERNEL = """
+import sys
+from superposer import simulator
+from superposer.ir import Circuit, Gate
+
+assert sys.flags.optimize
+real = simulator._apply_inplace
+
+def scaling(amps, gate, n_qubits):
+    real(amps, gate, n_qubits)
+    amps *= 2.0
+
+simulator._apply_inplace = scaling
+try:
+    simulator.run(Circuit(2, (Gate.h(0), Gate.h(1))))
+except RuntimeError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_run_checks_the_norm_under_python_O():
+    # Under -O every assert is stripped, so the norm check must not be one.
+    env = dict(os.environ, PYTHONPATH=str(Path(superposer.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _SCALING_KERNEL],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: state norm")
 
 
 def test_run_preserves_norm_gate_by_gate():

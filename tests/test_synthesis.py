@@ -6,33 +6,31 @@ from hypothesis import strategies as st
 
 from superposer.ir import Circuit, Gate, GateKind, gate_histogram
 from superposer.simulator import run, uniform_distance
-from superposer.synthesis import (
-    binary_decompose,
-    factor,
-    plan,
-    rotation_params,
-    split,
-    synthesize,
-)
+from superposer.synthesis import plan, split, synthesize
+
+# The factor, binary_decompose and rotation_params tests pin the paper's three
+# planning steps: N = 2**xi * M, the set bits k of M above bit 0, and the
+# branch probabilities p. split and plan compute all three.
 
 
 def test_factor_examples():
-    assert factor(12) == (2, 3)
-    assert factor(7) == (0, 7)
-    assert factor(16) == (4, 1)
-    assert factor(1) == (0, 1)
+    assert split(12)[1:3] == (2, 3)
+    assert split(7)[1:3] == (0, 7)
+    assert split(16)[1:3] == (4, 1)
+    assert split(1)[1:3] == (0, 1)
 
 
 def test_factor_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        factor(0)
-    with pytest.raises(ValueError):
-        factor(-3)
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            split(N)
+        with pytest.raises(ValueError, match="positive"):
+            plan(N)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factor_reconstructs(N):
-    xi, M = factor(N)
+    _, xi, M, _, _ = split(N)
     assert M % 2 == 1
     assert (M << xi) == N
 
@@ -58,32 +56,28 @@ def test_split_matches_the_binary_string(N):
 
 
 def test_binary_decompose_examples():
-    assert binary_decompose(7) == (3, (2, 1))
-    assert binary_decompose(29) == (4, (4, 3, 2))
-    assert binary_decompose(3) == (2, (1,))
-
-
-def test_binary_decompose_rejects_bad_input():
-    with pytest.raises(ValueError):
-        binary_decompose(1)
-    with pytest.raises(ValueError):
-        binary_decompose(12)
+    assert (plan(7).g, plan(7).k) == (3, (2, 1))
+    assert (plan(29).g, plan(29).k) == (4, (4, 3, 2))
+    assert (plan(3).g, plan(3).k) == (2, (1,))
+    assert plan(1).k == plan(8).k == ()
 
 
 @given(st.integers(min_value=1, max_value=1 << 20).map(lambda v: 2 * v + 1))
 def test_binary_decompose_reconstructs(M):
-    g, k = binary_decompose(M)
-    assert g == bin(M).count("1")
+    pl = plan(M)
+    k = pl.k
+    assert pl.g == bin(M).count("1") == len(k) + 1
     assert all(a > b for a, b in zip(k, k[1:]))
     assert k[-1] >= 1
     assert sum(1 << e for e in k) + 1 == M
 
 
 def test_rotation_params_examples():
-    assert rotation_params(3) == (Fraction(2, 3),)
-    assert rotation_params(5) == (Fraction(4, 5),)
-    assert rotation_params(7) == (Fraction(4, 7), Fraction(2, 3))
-    assert rotation_params(15) == (Fraction(8, 15), Fraction(4, 7), Fraction(2, 3))
+    assert plan(3).p == (Fraction(2, 3),)
+    assert plan(5).p == (Fraction(4, 5),)
+    assert plan(7).p == (Fraction(4, 7), Fraction(2, 3))
+    assert plan(15).p == (Fraction(8, 15), Fraction(4, 7), Fraction(2, 3))
+    assert plan(1).p == plan(8).p == ()
 
 
 def test_rotation_params_renormalize_against_the_residual():
@@ -102,7 +96,7 @@ def test_rotation_params_renormalize_against_the_residual():
 
 @given(st.integers(min_value=3, max_value=(1 << 20) - 1).map(lambda v: v | 1))
 def test_rotation_params_lie_in_upper_half(M):
-    for p in rotation_params(M):
+    for p in plan(M).p:
         assert Fraction(1, 2) < p < 1
 
 
