@@ -72,7 +72,7 @@ def parse_document(text: str) -> Circuit:
     """Parse and validate a circuit document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed circuit document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed circuit document: expected a JSON object")

@@ -13,6 +13,7 @@ the document and rejects anything that is not a bijection.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -48,8 +49,13 @@ class Dataset:
         return cls(records=tuple(pieces))
 
 
+@functools.lru_cache(maxsize=1)
 def build_indices(N: int) -> tuple[int, tuple[str, ...]]:
-    """Width n and the N address strings encoding 0..N-1 on n bits."""
+    """Width n and the N address strings encoding 0..N-1 on n bits.
+
+    The last result is kept: ``build_mapping``, ``AddressMap`` validation
+    and ``deserialize`` all ask for the same N in turn.
+    """
     n = split(N)[0]
     return n, tuple(format(value, f"0{n}b") for value in range(N))
 
@@ -134,7 +140,7 @@ def deserialize(data: bytes | str) -> AddressMap:
         data = data.decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed mapping document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed mapping document: expected a JSON object")

@@ -1,9 +1,17 @@
 """Dense statevector simulator for both circuit levels.
 
-States are numpy complex128 vectors of length 2**n with qubit 0 as the
-most significant index bit. Gates are applied by slicing amplitude pairs
-along the target axis, so no 2**n x 2**n matrix is ever built. Width is
-capped at 24 qubits (a 256 MiB state).
+Every gate of either level has a real matrix, so states are numpy float64
+vectors of length 2**n with qubit 0 as the most significant index bit.
+Gates update the amplitudes in place through reshaped views that pair
+the two values of the target bit, so no 2**n x 2**n matrix is ever built.
+
+``run`` starts narrow. A qubit that no gate has touched yet is exactly
+|0>, so ``run`` keeps only the 2**w amplitudes of qubits 0..w-1, where
+w - 1 is the highest qubit touched so far. When a gate first reaches a
+higher qubit, the state widens by interleaving zeros, and it widens to
+the full register at the end. This is exact for any circuit; synthesized
+circuits touch qubits in order, so most of their gates run on small
+states. Width is capped at 24 qubits (a 128 MiB state).
 """
 
 from __future__ import annotations
@@ -18,12 +26,6 @@ from .ir import Circuit, Gate, GateKind
 QUBIT_CAP = 24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]])
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-# Which control value activates the target operation.
-_CONTROL_VALUE = {GateKind.CG: 1, GateKind.CNOT: 1, GateKind.ZERO_CH: 0}
 
 
 @dataclass
@@ -38,56 +40,70 @@ class StateVector:
         return StateVector(self.n_qubits, self.amps.copy())
 
 
-def init_zero(n_qubits: int) -> StateVector:
-    """The all-zeros basis state on n_qubits qubits."""
+def _check_width(n_qubits: int) -> None:
     if not 1 <= n_qubits <= QUBIT_CAP:
         raise ValueError(f"qubit count {n_qubits} outside 1..{QUBIT_CAP}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+
+
+def init_zero(n_qubits: int) -> StateVector:
+    """The all-zeros basis state on n_qubits qubits."""
+    _check_width(n_qubits)
+    amps = np.zeros(1 << n_qubits)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
 
 
-def _target_matrix(gate: Gate) -> np.ndarray:
+def _coefficients(gate: Gate) -> tuple[float, float, float, float]:
+    """Entries a, b, c, d of the real target matrix [[a, b], [c, d]]."""
     kind = gate.kind
     if kind is GateKind.H or kind is GateKind.ZERO_CH:
-        return _H
-    if kind is GateKind.X or kind is GateKind.CNOT:
-        return _X
-    if kind is GateKind.Z:
-        return _Z
+        return _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF
     if kind is GateKind.RY:
         c = math.cos(gate.angle / 2.0)
         s = math.sin(gate.angle / 2.0)
-        return np.array([[c, -s], [s, c]])
+        return c, -s, s, c
     if kind is GateKind.G or kind is GateKind.CG:
         p = float(gate.prob)
         sp = math.sqrt(p)
         sq = math.sqrt(1.0 - p)
-        return np.array([[sp, -sq], [sq, sp]])
+        return sp, -sq, sq, sp
     raise ValueError(f"no target matrix for {kind.name}")
 
 
-def _mix_pairs(sub: np.ndarray, mat: np.ndarray) -> None:
-    # sub has the target qubit as axis 0; mix the two half-spaces.
-    new0 = mat[0, 0] * sub[0] + mat[0, 1] * sub[1]
-    new1 = mat[1, 0] * sub[0] + mat[1, 1] * sub[1]
-    sub[0] = new0
-    sub[1] = new1
+def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the amplitudes with the target bit 0 and 1.
+
+    For a controlled gate, only those with the control bit at its active
+    value: 0 for ZERO_CH, 1 for every other kind.
+    """
+    t, c = gate.target, gate.control
+    if c is None:
+        view = amps.reshape(1 << t, 2, 1 << (n_qubits - t - 1))
+        return view[:, 0], view[:, 1]
+    lo, hi = min(c, t), max(c, t)
+    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n_qubits - hi - 1))
+    active = 0 if gate.kind is GateKind.ZERO_CH else 1
+    if c < t:
+        sub = view[:, active]
+        return sub[:, :, 0], sub[:, :, 1]
+    sub = view[:, :, :, active]
+    return sub[:, 0], sub[:, 1]
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    view = amps.reshape((2,) * n_qubits)
+    x0, x1 = _halves(amps, gate, n_qubits)
     kind = gate.kind
-    if kind is GateKind.CZ:
-        # Index through the view in one statement so the write lands in
-        # amps even when control and target are the only two axes.
-        np.moveaxis(view, (gate.control, gate.target), (0, 1))[1, 1] *= -1.0
-        return
-    if kind in _CONTROL_VALUE:
-        sub = np.moveaxis(view, (gate.control, gate.target), (0, 1))[_CONTROL_VALUE[kind]]
-        _mix_pairs(sub, _target_matrix(gate))
-        return
-    _mix_pairs(np.moveaxis(view, gate.target, 0), _target_matrix(gate))
+    if kind is GateKind.Z or kind is GateKind.CZ:
+        x1 *= -1.0
+    elif kind is GateKind.X or kind is GateKind.CNOT:
+        old0 = x0.copy()
+        x0[...] = x1
+        x1[...] = old0
+    else:
+        a, b, c, d = _coefficients(gate)
+        new0 = a * x0 + b * x1
+        x1[...] = c * x0 + d * x1
+        x0[...] = new0
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
@@ -100,15 +116,31 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(state.n_qubits, out)
 
 
+def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
+    """The same state with qubits width..new_width-1 appended in |0>."""
+    if new_width == width:
+        return amps
+    out = np.zeros(1 << new_width)
+    out[:: 1 << (new_width - width)] = amps
+    return out
+
+
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from the all-zeros state."""
-    state = init_zero(circuit.n_qubits)
+    n = circuit.n_qubits
+    _check_width(n)
+    amps = np.ones(1)
+    width = 0
     for gate in circuit.gates:
-        _apply_inplace(state.amps, gate, circuit.n_qubits)
-    norm = state.norm()
+        reach = max(gate.qubits) + 1
+        if reach > width:
+            amps = _widen(amps, width, reach)
+            width = reach
+        _apply_inplace(amps, gate, width)
+    norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
-    return state
+    return StateVector(n, _widen(amps, width, n))
 
 
 def uniform_distance(state: StateVector, N: int) -> float:
@@ -119,9 +151,9 @@ def uniform_distance(state: StateVector, N: int) -> float:
     """
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    dim = state.amps.size
-    if N > dim:
-        raise ValueError(f"N={N} exceeds the state dimension {dim}")
-    expected = np.zeros(dim)
-    expected[:N] = 1.0 / math.sqrt(N)
-    return float(np.max(np.abs(state.amps - expected)))
+    amps = state.amps
+    if N > amps.size:
+        raise ValueError(f"N={N} exceeds the state dimension {amps.size}")
+    head = np.max(np.abs(amps[:N] - 1.0 / math.sqrt(N)))
+    tail = np.max(np.abs(amps[N:]), initial=0.0)
+    return float(max(head, tail))

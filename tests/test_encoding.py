@@ -149,3 +149,8 @@ def test_mapping_invariants_across_sizes_and_seeds():
             mapping = build_mapping(_dataset(size), seed=seed)
             assert sorted(o for _, o in mapping.pairs) == list(range(size))
             assert deserialize(serialize(mapping)) == mapping
+
+
+def test_build_indices_keeps_its_last_result():
+    # build_mapping, AddressMap validation and deserialize share one build.
+    assert build_indices(2960) is build_indices(2960)

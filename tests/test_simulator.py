@@ -2,16 +2,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superposer
 from superposer.ir import Circuit, Gate
 from superposer.simulator import (
     QUBIT_CAP,
+    StateVector,
     apply,
     init_zero,
     run,
@@ -88,6 +92,17 @@ def test_hadamard_is_its_own_inverse():
     assert np.allclose(state.amps, [1, 0, 0, 0])
 
 
+def test_run_rejects_widths_above_the_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="outside"):
+            run(Circuit(QUBIT_CAP + 1, ()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_run_empty_circuit():
     state = run(Circuit(1, ()))
     assert np.allclose(state.amps, [1, 0])
@@ -142,7 +157,66 @@ def test_run_preserves_norm_gate_by_gate():
 def test_amplitudes_stay_real():
     for N in (3, 7, 29, 100):
         lowered, _ = lower(synthesize(N))
-        assert np.max(np.abs(run(lowered).amps.imag)) < 1e-12
+        assert run(lowered).amps.dtype == np.float64
+        assert init_zero(lowered.n_qubits).amps.dtype == np.float64
+
+
+_PROB = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+def _pairs(n):
+    return st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+
+
+def _pairs_through(q, n):
+    """(control, target) pairs on n qubits with q as one of the two."""
+    other = st.integers(0, n - 2).map(lambda o: o if o < q else o + 1)
+    return st.tuples(other, st.booleans()).map(lambda ob: [q, ob[0]] if ob[1] else [ob[0], q])
+
+
+def _gates(qubit, pair):
+    """Gates of every kind; without pairs (one qubit), only the 1-qubit kinds."""
+    kinds = [
+        st.builds(Gate.h, qubit),
+        st.builds(Gate.x, qubit),
+        st.builds(Gate.z, qubit),
+        st.builds(Gate.ry, qubit, st.floats(-7, 7)),
+        st.builds(Gate.g, qubit, _PROB),
+    ]
+    if pair is not None:
+        kinds += [
+            st.builds(lambda cq, p: Gate.cg(*cq, p), pair, _PROB),
+            pair.map(lambda cq: Gate.zero_ch(*cq)),
+            pair.map(lambda cq: Gate.cnot(*cq)),
+            pair.map(lambda cq: Gate.cz(*cq)),
+        ]
+    return st.one_of(kinds)
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 6))
+    # Most gates stay on qubits below `reach`, leaving the rest untouched.
+    reach = draw(st.integers(1, n))
+    gates = draw(st.lists(
+        _gates(st.integers(0, reach - 1), _pairs(reach) if reach > 1 else None), max_size=12
+    ))
+    if draw(st.booleans()):
+        last = n - 1
+        gates.insert(0, draw(_gates(st.just(last), _pairs_through(last, n) if n > 1 else None)))
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits())
+def test_run_equals_a_full_width_apply_chain(circuit):
+    # apply never widens: it works on all 2**n amplitudes from the start.
+    state = init_zero(circuit.n_qubits)
+    for gate in circuit.gates:
+        state = apply(state, gate)
+    amps = run(circuit).amps
+    assert amps.dtype == np.float64
+    assert np.array_equal(amps, state.amps)
 
 
 def test_uniform_distance_examples():
@@ -152,6 +226,25 @@ def test_uniform_distance_examples():
     # |0 - 1/sqrt(2)|, which beats |1 - 1/sqrt(2)| at index 0.
     zero = init_zero(1)
     assert uniform_distance(zero, 2) == pytest.approx(1 / math.sqrt(2))
+
+
+def test_uniform_distance_equals_the_full_expected_vector():
+    # The reference builds the 2**n target vector that uniform_distance avoids.
+    def reference(state, N):
+        expected = np.zeros(state.amps.size)
+        expected[:N] = 1.0 / math.sqrt(N)
+        return float(np.max(np.abs(state.amps - expected)))
+
+    rng = np.random.default_rng(5)
+    state = StateVector(3, rng.normal(size=8))
+    for N in range(1, 9):
+        assert uniform_distance(state, N) == reference(state, N)
+    # The tail beyond N can hold the largest deviation.
+    flat = StateVector(2, np.full(4, 0.5))
+    assert uniform_distance(flat, 3) == 0.5 == reference(flat, 3)
+    # N equal to the dimension leaves no tail to compare.
+    near = StateVector(2, np.array([0.5, 0.5, 0.5, 0.625]))
+    assert uniform_distance(near, 4) == 0.125 == reference(near, 4)
 
 
 def test_uniform_distance_rejects_bad_n():
