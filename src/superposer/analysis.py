@@ -1,4 +1,4 @@
-"""Closed-form CNOT accounting, case taxonomy, and exhaustive scans.
+"""Closed-form CNOT accounting, case taxonomy, and per-width scans.
 
 Everything here is integer arithmetic on N; no circuit is built or
 simulated except by ``resource_report``, which assembles one lowered
@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from math import comb
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -114,8 +115,7 @@ def resource_report(N: int) -> ResourceReport:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One N in a scan: its decomposition, count, and family."""
 
     N: int
@@ -155,12 +155,16 @@ def scan_rows(n_max: int) -> Iterator[ScanRow]:
     Width n covers N in (2**(n-1), 2**n], the population whose circuits
     need exactly n qubits.
     """
-    if not MIN_SCAN_N_MAX <= n_max <= MAX_SCAN_N_MAX:
-        raise ValueError(f"n_max must be within {MIN_SCAN_N_MAX}..{MAX_SCAN_N_MAX}, got {n_max}")
-    for n in range(2, n_max + 1):
+    for n in _widths(n_max):
         for N in range((1 << (n - 1)) + 1, (1 << n) + 1):
             _, xi, M, g, m = split(N)
-            yield ScanRow(N=N, n=n, xi=xi, M=M, g=g, m=m, cnot=_count(g, m), case=_case(n, xi, g))
+            yield ScanRow(N, n, xi, M, g, m, _count(g, m), _case(n, xi, g))
+
+
+def _widths(n_max: int) -> range:
+    if not MIN_SCAN_N_MAX <= n_max <= MAX_SCAN_N_MAX:
+        raise ValueError(f"n_max must be within {MIN_SCAN_N_MAX}..{MAX_SCAN_N_MAX}, got {n_max}")
+    return range(2, n_max + 1)
 
 
 def summarize(rows: Iterable[ScanRow]) -> ScanStats:
@@ -188,8 +192,17 @@ def summarize(rows: Iterable[ScanRow]) -> ScanStats:
 
 
 def scan(n_max: int) -> ScanStats:
-    """Exhaustive per-n statistics for widths 2..n_max."""
-    return summarize(scan_rows(n_max))
+    """Per-n statistics for widths 2..n_max: ``summarize(scan_rows(n_max))`` in closed form."""
+    summaries = []
+    for n in _widths(n_max):
+        # 2**n has count 0. Of the other N = 2**xi * M, C(k, j) have j of odd M's
+        # k = n - xi - 2 inner bits set and count k + 1 + j, so count c has C(k, c - 1 - k).
+        histogram = {0: 1}
+        for c in range(1, 2 * n - 2):
+            histogram[c] = sum(comb(k, c - 1 - k) for k in range(min(c, n - 1)))
+        mean = sum(count * size for count, size in histogram.items()) / (1 << (n - 1))
+        summaries.append(NSummary(n, max(histogram), mean, histogram))
+    return ScanStats(per_n=tuple(summaries))
 
 
 def mean_fit(stats: ScanStats, n_min: int = 3) -> tuple[float, float]:

@@ -3,7 +3,7 @@
 Commands:
   synth   emit the preparation circuit for N (JSON document or QASM)
   verify  simulate both levels for N and check uniformity
-  scan    exhaustive per-N and per-n CNOT statistics as CSV
+  scan    per-n CNOT statistics in closed form, per-N rows as CSV
   encode  address a record file and emit its mapping plus circuit
 
 Exit codes: 0 success, 1 validation error, 2 verification failure.
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import analysis, document, encoding, lowering, qasm, simulator, synthesis
 from .ir import entangler_count
@@ -109,43 +109,46 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 2
 
 
-def _tee_rows(rows: Iterable[analysis.ScanRow], path: str) -> Iterator[analysis.ScanRow]:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(analysis.SCAN_FIELDS)
-        for row in rows:
-            writer.writerow((row.N, row.n, row.xi, row.M, row.g, row.m, row.cnot, row.case.value))
-            yield row
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
-    rows: Iterable[analysis.ScanRow] = analysis.scan_rows(args.n_max)
+    stats = analysis.scan(args.n_max)
     if args.csv:
-        rows = _tee_rows(rows, args.csv)
-    stats = analysis.summarize(rows)
+        with open(args.csv, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(analysis.SCAN_FIELDS)
+            for row in analysis.scan_rows(args.n_max):
+                writer.writerow((*row[:-1], row.case.value))
     lines = [",".join(analysis.SUMMARY_FIELDS)]
     lines += [f"{s.n},{s.max_count},{s.mean_count}" for s in stats.per_n]
     _write_text("\n".join(lines) + "\n", args.summary)
     return 0
 
 
+def _write_all(outputs: dict[str, bytes]) -> None:
+    """Write all outputs in full under temporary names beside them, then rename each in order."""
+    temps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
+    try:
+        for path, data in outputs.items():
+            with open(temps[path], "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            Path(temp).unlink(missing_ok=True)
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
+    if Path(args.mapping_out).resolve() == Path(args.circuit_out).resolve():
+        raise ValueError("--mapping-out and --circuit-out must name different files")
     dataset = encoding.Dataset.from_path(args.dataset)
     mapping = encoding.build_mapping(dataset, args.seed)
     lowered, _ = lowering.lower(synthesis.synthesize(dataset.size))
     data = encoding.serialize(mapping)
-    if args.circuit_out.endswith(".qasm"):
-        text = qasm.emit_qasm(lowered)
-    else:
-        text = document.emit_document(lowered)
-    # Never leave a mapping behind without the circuit it belongs to.
-    mapping_out = Path(args.mapping_out)
-    mapping_out.write_bytes(data)
-    try:
-        Path(args.circuit_out).write_text(text)
-    except OSError:
-        mapping_out.unlink(missing_ok=True)
-        raise
+    emit = qasm.emit_qasm if args.circuit_out.endswith(".qasm") else document.emit_document
+    # The circuit lands first: no new mapping ever appears without its circuit.
+    _write_all({args.circuit_out: emit(lowered).encode(), args.mapping_out: data})
     print(f"N={dataset.size} n={mapping.n} cnots={entangler_count(lowered)}")
     return 0
 

@@ -65,9 +65,9 @@ class AddressMap:
     """A bijection between the N address strings and record ordinals.
 
     ``pairs`` holds (address string, record ordinal) in address order.
-    Construction validates the width, that the address strings are exactly
-    those of 0..N-1 in that order, and that the ordinals are a permutation
-    of 0..N-1, so an AddressMap that exists is always well formed.
+    Construction validates the int n and seed, the width, that the address
+    strings are exactly those of 0..N-1 in that order, and that the int
+    ordinals are a permutation of 0..N-1, so an AddressMap is well formed.
     """
 
     n: int
@@ -79,12 +79,14 @@ class AddressMap:
         N = len(self.pairs)
         if N == 0:
             raise ValueError("address map needs at least one pair")
+        if type(self.n) is not int or type(self.seed) is not int:
+            raise ValueError(f"mapping n and seed must be ints, got {self.n!r} and {self.seed!r}")
         expected_n, expected_bits = build_indices(N)
         if self.n != expected_n:
             raise ValueError(f"width {self.n} does not match {expected_n} for {N} records")
         ordinals = [o for _, o in self.pairs]
         for o in ordinals:
-            if not isinstance(o, int) or isinstance(o, bool) or not 0 <= o < N:
+            if type(o) is not int or not 0 <= o < N:
                 raise ValueError(f"record ordinal {o!r} outside 0..{N - 1}")
         if len(set(ordinals)) != N:
             raise ValueError("mapping not bijective")
@@ -123,15 +125,12 @@ def build_mapping(dataset: Dataset, seed: int) -> AddressMap:
 
 
 def serialize(mapping: AddressMap) -> bytes:
-    """Stable JSON bytes; identical mappings serialize identically."""
-    doc = {
-        "version": MAPPING_VERSION,
-        "N": mapping.size,
-        "n": mapping.n,
-        "seed": mapping.seed,
-        "pairs": [[b, o] for b, o in mapping.pairs],
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+    """Stable bytes of the mapping document: ``json.dumps(doc, indent=2)`` and a newline."""
+    pairs = ",\n".join(f'    [\n      "{b}",\n      {o}\n    ]' for b, o in mapping.pairs)
+    return (
+        f'{{\n  "version": {MAPPING_VERSION},\n  "N": {mapping.size},\n  "n": {mapping.n},\n'
+        f'  "seed": {mapping.seed},\n  "pairs": [\n{pairs}\n  ]\n}}\n'
+    ).encode("ascii")
 
 
 def deserialize(data: bytes | str) -> AddressMap:
@@ -157,8 +156,6 @@ def deserialize(data: bytes | str) -> AddressMap:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
             raise ValueError(f"bad mapping pair: {entry!r}")
         pairs.append((entry[0], entry[1]))
-    if not isinstance(doc["N"], int) or doc["N"] != len(pairs):
+    if type(doc["N"]) is not int or doc["N"] != len(pairs):
         raise ValueError(f"pair count {len(pairs)} does not match N={doc['N']!r}")
-    if not isinstance(doc["n"], int) or not isinstance(doc["seed"], int):
-        raise ValueError("mapping n and seed must be integers")
     return AddressMap(n=doc["n"], seed=doc["seed"], pairs=tuple(pairs))

@@ -4,7 +4,7 @@ Emitted programs use exactly one quantum register and the gates h, x, z,
 ry(theta), cx, cz. Angles are printed with 17 significant digits, which
 is enough for the printed text to reproduce the double exactly, so
 emit -> parse -> emit is byte-identical. The parser accepts the same
-subset and reports errors with 1-based line and column positions.
+subset in ASCII and reports errors with 1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from .ir import Circuit, Gate, GateKind, Level
 _HEADER = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
 
-_QREG_RE = re.compile(r"\s*qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;\s*$")
+_QREG_RE = re.compile(r"\s*qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]\s*;\s*$")
 _WORD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.]*)")
+_DECIMAL_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
 class QasmParseError(ValueError):
@@ -49,7 +50,7 @@ def emit_qasm(circuit: Circuit) -> str:
 
 def _operand_patterns(register: str) -> dict[str, re.Pattern[str]]:
     name = re.escape(register)
-    qubit = rf"{name}\s*\[\s*(\d+)\s*\]"
+    qubit = rf"{name}\s*\[\s*([0-9]+)\s*\]"
     return {
         "single": re.compile(rf"\s*(h|x|z)\s+{qubit}\s*;\s*$"),
         "ry": re.compile(rf"\s*ry\s*\(\s*([^)]*?)\s*\)\s+{qubit}\s*;\s*$"),
@@ -59,6 +60,10 @@ def _operand_patterns(register: str) -> dict[str, re.Pattern[str]]:
 
 def parse_qasm(text: str) -> Circuit:
     """Parse subset QASM into a lowered circuit."""
+    if not text.isascii():
+        at = next(i for i, ch in enumerate(text) if not ch.isascii())
+        line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+        raise QasmParseError(line, column, f"non-ASCII character {text[at]!r}")
     lines = [(i + 1, raw) for i, raw in enumerate(text.split("\n")) if raw.strip()]
     if not lines:
         raise QasmParseError(1, 1, f"missing {_HEADER!r} header")
@@ -109,12 +114,9 @@ def parse_qasm(text: str) -> Circuit:
             match = patterns["ry"].match(raw)
             if not match:
                 raise QasmParseError(lineno, column, "malformed 'ry' statement")
-            try:
-                angle = float(match.group(1))
-            except ValueError:
-                raise QasmParseError(
-                    lineno, match.start(1) + 1, f"bad angle {match.group(1)!r}"
-                ) from None
+            if not _DECIMAL_RE.fullmatch(match.group(1)):
+                raise QasmParseError(lineno, match.start(1) + 1, f"bad angle {match[1]!r}")
+            angle = float(match.group(1))
             target = check_qubit(match.group(2), lineno, match.start(2) + 1)
             try:
                 gates.append(Gate.ry(target, angle))

@@ -104,6 +104,13 @@ def test_criterion_03_worst_case_is_2n_minus_3(scan_facts):
     _criterion("C3 per-width maximum is 2n-3, attained at N=2**n-1", not bad, f"bad widths {bad}")
 
 
+def test_closed_form_scan_equals_the_exhaustive_scan(scan_facts):
+    stats, _ = scan_facts
+    closed = analysis.scan(SCAN_WIDTH)
+    assert closed == stats
+    assert [list(s.histogram) for s in closed.per_n] == [list(s.histogram) for s in stats.per_n]
+
+
 def test_criterion_04_anchor_values_and_cases():
     expected = {16: (0, analysis.Case.I), 17: (4, analysis.Case.II),
                 31: (7, analysis.Case.III), 29: (6, analysis.Case.IV),

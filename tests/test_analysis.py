@@ -118,6 +118,14 @@ def test_scan_rejects_out_of_range_width():
         list(scan_rows(1))
     with pytest.raises(ValueError):
         list(scan_rows(21))
+    for n_max in (1, 21):
+        with pytest.raises(ValueError, match="n_max"):
+            scan(n_max)
+
+
+def test_scan_equals_summarized_rows():
+    for n in range(2, 17):
+        assert scan(n) == summarize(scan_rows(n))
 
 
 def test_summarize_groups_by_width():

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from superposer import analysis
 from superposer.cli import main
 from superposer.qasm import parse_qasm
 
@@ -93,6 +95,22 @@ def test_scan_rejects_bad_width(capsys):
     assert main(["scan", "--n-max", "99"]) == 1
 
 
+def test_scan_rejects_a_bad_width_before_opening_the_csv(tmp_path, capsys):
+    assert main(["scan", "--n-max", "21", "--csv", str(tmp_path / "rows.csv")]) == 1
+    assert "n_max" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_summary_enumerates_no_rows(monkeypatch, capsys):
+    def no_rows(n_max):
+        raise AssertionError("the summary must not enumerate N")
+
+    monkeypatch.setattr(analysis, "scan_rows", no_rows)
+    assert main(["scan", "--n-max", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"20,37,{analysis.scan(20).for_n(20).mean_count}"
+
+
 def test_encode_end_to_end(tmp_path, capsys):
     dataset = tmp_path / "records.txt"
     dataset.write_bytes(b"Q\nU\nA\nN\nT\nU\nM\n")
@@ -154,6 +172,86 @@ def test_encode_leaves_no_mapping_when_the_circuit_write_fails(tmp_path, capsys)
     ]) == 1
     assert "error:" in capsys.readouterr().err
     assert not mapping_path.exists()
+
+
+@pytest.mark.parametrize("failing", ["circuit", "mapping"])
+def test_encode_failing_mid_write_leaves_no_partial_or_orphan_file(
+    tmp_path, capsys, monkeypatch, failing
+):
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"a\nb\nc\n")
+    targets = {"circuit": tmp_path / "c.qasm", "mapping": tmp_path / "m.json"}
+    for path in targets.values():
+        path.write_bytes(b"old")
+    # The circuit is written first; fail the flush of the chosen output.
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        fsyncs.append(fd)
+        if len(fsyncs) == (1 if failing == "circuit" else 2):
+            raise OSError(28, "No space left on device")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert main([
+        "encode", str(dataset),
+        "--mapping-out", str(targets["mapping"]),
+        "--circuit-out", str(targets["circuit"]),
+    ]) == 1
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.qasm", "m.json", "records.txt"]
+    assert all(path.read_bytes() == b"old" for path in targets.values())
+
+
+def test_encode_renames_the_circuit_into_place_before_the_mapping(tmp_path, capsys, monkeypatch):
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"a\nb\nc\n")
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main([
+        "encode", str(dataset),
+        "--mapping-out", str(tmp_path / "m.json"),
+        "--circuit-out", str(tmp_path / "c.qasm"),
+    ]) == 0
+    capsys.readouterr()
+    assert renamed == ["c.qasm", "m.json"]
+
+
+def test_encode_refuses_one_path_for_both_outputs(tmp_path, capsys):
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"a\nb\n")
+    assert main([
+        "encode", str(dataset),
+        "--mapping-out", str(tmp_path / "out"),
+        "--circuit-out", str(tmp_path / ".." / tmp_path.name / "out"),
+    ]) == 1
+    assert "different files" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.txt"]
+
+
+def test_encode_replaces_existing_outputs(tmp_path, capsys):
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"a\nb\nc\n")
+    mapping_path = tmp_path / "m.json"
+    circuit_path = tmp_path / "c.qasm"
+    for path in (mapping_path, circuit_path):
+        path.write_bytes(b"old")
+    assert main([
+        "encode", str(dataset),
+        "--mapping-out", str(mapping_path),
+        "--circuit-out", str(circuit_path),
+    ]) == 0
+    capsys.readouterr()
+    assert json.loads(mapping_path.read_text())["N"] == 3
+    assert circuit_path.read_text().startswith("OPENQASM 2.0;")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.qasm", "m.json", "records.txt"]
 
 
 def test_encode_rejects_missing_and_empty_datasets(tmp_path, capsys):

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superposer.encoding import (
     AddressMap,
@@ -154,3 +156,54 @@ def test_mapping_invariants_across_sizes_and_seeds():
 def test_build_indices_keeps_its_last_result():
     # build_mapping, AddressMap validation and deserialize share one build.
     assert build_indices(2960) is build_indices(2960)
+
+
+def _reference_bytes(mapping):
+    doc = {
+        "version": 1,
+        "N": mapping.size,
+        "n": mapping.n,
+        "seed": mapping.seed,
+        "pairs": [[b, o] for b, o in mapping.pairs],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(1, 300),
+    seed=st.integers(-(2**70), -1) | st.just(0) | st.integers(2**64, 2**100) | st.integers(1, 100),
+)
+def test_serialize_equals_the_json_dumps_reference(size, seed):
+    mapping = build_mapping(_dataset(size), seed=seed)
+    assert serialize(mapping) == _reference_bytes(mapping)
+
+
+@pytest.mark.parametrize("field", ["n", "seed"])
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_address_map_rejects_a_non_int_width_or_seed(field, value):
+    fields = {"n": 1, "seed": 0, field: value}
+    with pytest.raises(ValueError, match="mapping n and seed must be ints"):
+        AddressMap(pairs=(("0", 0), ("1", 1)), **fields)
+
+
+@pytest.mark.parametrize("field", ["n", "seed"])
+def test_deserialize_rejects_a_bool_width_or_seed(field):
+    doc = {"version": 1, "N": 2, "n": 1, "seed": 0, "pairs": [["0", 1], ["1", 0]]}
+    doc[field] = True
+    with pytest.raises(ValueError, match="mapping n and seed must be ints"):
+        deserialize(json.dumps(doc))
+
+
+def test_deserialize_rejects_a_bool_record_count():
+    with pytest.raises(ValueError, match="pair count"):
+        deserialize(b'{"version": 1, "N": true, "n": 1, "seed": 0, "pairs": [["0", 0]]}')
+
+
+def test_address_map_rejects_an_int_subclass_ordinal():
+    class Zero(int):
+        def __str__(self):
+            return "zero"
+
+    with pytest.raises(ValueError, match="record ordinal"):
+        AddressMap(n=1, seed=0, pairs=(("0", Zero(0)), ("1", 1)))

@@ -135,6 +135,30 @@ def test_bad_angle_text():
     )
 
 
+@pytest.mark.parametrize(
+    "body, line, column",
+    [
+        ("qreg q[٣];\n", 3, 8),
+        ("qreg q[3];\nh q[٢];\n", 4, 5),
+        ("qreg q[3];\nry(１.5) q[0];\n", 4, 4),
+        ("qreg q[3];\n\u2003h q[0];\n", 4, 1),
+    ],
+)
+def test_non_ascii_text_is_rejected_at_its_position(body, line, column):
+    err = _expect_error('OPENQASM 2.0;\ninclude "qelib1.inc";\n' + body, line, match="non-ASCII")
+    assert err.column == column
+
+
+@pytest.mark.parametrize("angle", ["1_5", "inf", "nan", "+1.5", "1.5.2", "0x1p-2"])
+def test_angles_outside_the_decimal_grammar_are_rejected(angle):
+    _expect_error(
+        f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\nry({angle}) q[0];\n',
+        4,
+        column_predicate=lambda column: column == 4,
+        match="bad angle",
+    )
+
+
 def test_duplicate_qreg_rejected():
     _expect_error(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nqreg r[2];\n',
