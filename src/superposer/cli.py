@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from . import analysis, document, encoding, lowering, qasm, simulator, synthesis
@@ -70,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     circuit = synthesis.synthesize(args.N)
     if args.lower:
@@ -87,7 +80,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         text = qasm.emit_qasm(circuit)
     else:
         text = document.emit_document(circuit)
-    _write_text(text, args.output)
+    if args.output is not None:
+        _write_all([(args.output, [text.encode()])])
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -111,44 +107,65 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     stats = analysis.scan(args.n_max)
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(analysis.SCAN_FIELDS)
-            for row in analysis.scan_rows(args.n_max):
-                writer.writerow((*row[:-1], row.case.value))
     lines = [",".join(analysis.SUMMARY_FIELDS)]
     lines += [f"{s.n},{s.max_count},{s.mean_count}" for s in stats.per_n]
-    _write_text("\n".join(lines) + "\n", args.summary)
+    summary = "\n".join(lines) + "\n"
+    outputs = []
+    if args.csv:
+        outputs.append((args.csv, _csv_rows(args.n_max)))
+    if args.summary is not None:
+        outputs.append((args.summary, [summary.encode()]))
+    _write_all(outputs)
+    if args.summary is None:
+        sys.stdout.write(summary)
     return 0
 
 
-def _write_all(outputs: dict[str, bytes]) -> None:
-    """Write all outputs in full under temporary names beside them, then rename each in order."""
-    temps = {path: f"{path}.{os.getpid()}.tmp" for path in outputs}
+def _csv_rows(n_max: int) -> Iterator[bytes]:
+    """The per-N rows as CSV lines, one at a time, ending in \\r\\n as csv.writer's do."""
+    yield (",".join(analysis.SCAN_FIELDS) + "\r\n").encode()
+    for N, n, xi, M, g, m, cnot, case in analysis.scan_rows(n_max):
+        yield f"{N},{n},{xi},{M},{g},{m},{cnot},{case.value}\r\n".encode()
+
+
+def _write_all(outputs: Sequence[tuple[str, Iterable[bytes]]]) -> None:
+    """Write each (path, chunks) output in full beside its target, then rename all in order.
+
+    The temporary files are flushed to disk first and removed on failure, so
+    no target is ever left partly written. Targets are resolved through
+    symlinks; two that are one file, or one that is not a regular file, are
+    refused before anything is written (a dict would merge equal paths).
+    """
+    targets = [Path(path).resolve() for path, _ in outputs]
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"outputs must name different files: {[path for path, _ in outputs]}")
+    for target in targets:
+        if target.exists() and not target.is_file():
+            raise ValueError(f"output {str(target)!r} is not a regular file")
+    temps = [target.with_name(f"{target.name}.{os.getpid()}.tmp") for target in targets]
     try:
-        for path, data in outputs.items():
-            with open(temps[path], "wb") as handle:
-                handle.write(data)
+        for temp, (_, chunks) in zip(temps, outputs):
+            with open(temp, "wb") as handle:
+                handle.writelines(chunks)
                 handle.flush()
                 os.fsync(handle.fileno())
-        for path, temp in temps.items():
-            os.replace(temp, path)
+        for temp, target in zip(temps, targets):
+            os.replace(temp, target)
     finally:
-        for temp in temps.values():
-            Path(temp).unlink(missing_ok=True)
+        for temp in temps:
+            temp.unlink(missing_ok=True)
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    if Path(args.mapping_out).resolve() == Path(args.circuit_out).resolve():
-        raise ValueError("--mapping-out and --circuit-out must name different files")
     dataset = encoding.Dataset.from_path(args.dataset)
     mapping = encoding.build_mapping(dataset, args.seed)
     lowered, _ = lowering.lower(synthesis.synthesize(dataset.size))
-    data = encoding.serialize(mapping)
     emit = qasm.emit_qasm if args.circuit_out.endswith(".qasm") else document.emit_document
     # The circuit lands first: no new mapping ever appears without its circuit.
-    _write_all({args.circuit_out: emit(lowered).encode(), args.mapping_out: data})
+    _write_all([
+        (args.circuit_out, [emit(lowered).encode()]),
+        (args.mapping_out, [encoding.serialize(mapping)]),
+    ])
     print(f"N={dataset.size} n={mapping.n} cnots={entangler_count(lowered)}")
     return 0
 

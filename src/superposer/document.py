@@ -3,6 +3,8 @@
 Rational probabilities are stored as [numerator, denominator] so the
 abstract level stays exact; angles are stored as JSON numbers, which
 round-trip doubles exactly. parse_document(emit_document(c)) == c.
+``load_versioned`` checks the top level of this format and of the
+mapping document in ``encoding``.
 """
 
 from __future__ import annotations
@@ -68,20 +70,34 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
         raise ValueError(f"gate {index}: {exc}") from None
 
 
-def parse_document(text: str) -> Circuit:
-    """Parse and validate a circuit document."""
+def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object whose top level holds exactly ``version`` and ``keys``.
+
+    Anything else raises ValueError: text that is not a JSON object (nesting
+    too deep included), a version other than the int ``version``, or a
+    missing or unknown key. The values under ``keys`` are left to the caller.
+    """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed circuit document: {exc}") from exc
+        raise ValueError(f"malformed {name} document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("malformed circuit document: expected a JSON object")
-    version = doc.get("version")
-    if version != DOCUMENT_VERSION:
-        raise ValueError(f"unsupported document version: {version!r}")
-    for key in ("n_qubits", "level", "gates"):
+        raise ValueError(f"malformed {name} document: expected a JSON object")
+    found = doc.get("version")
+    if type(found) is not int or found != version:  # true and 1.0 equal 1
+        raise ValueError(f"unsupported {name} version: {found!r}")
+    for key in keys:
         if key not in doc:
-            raise ValueError(f"circuit document missing {key!r}")
+            raise ValueError(f"{name} document missing {key!r}")
+    extra = set(doc) - {"version", *keys}
+    if extra:
+        raise ValueError(f"{name} document has unknown fields {sorted(extra)}")
+    return doc
+
+
+def parse_document(text: str) -> Circuit:
+    """Parse and validate a circuit document."""
+    doc = load_versioned(text, "circuit", DOCUMENT_VERSION, ("n_qubits", "level", "gates"))
     if not isinstance(doc["n_qubits"], int):
         raise ValueError("n_qubits must be an integer")
     try:

@@ -14,11 +14,11 @@ the document and rejects anything that is not a bijection.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
+from .document import load_versioned
 from .synthesis import split
 
 MAPPING_VERSION = 1
@@ -137,18 +137,7 @@ def deserialize(data: bytes | str) -> AddressMap:
     """Parse and validate a serialized mapping document."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
-    try:
-        doc = json.loads(data)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"malformed mapping document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("malformed mapping document: expected a JSON object")
-    version = doc.get("version")
-    if version != MAPPING_VERSION:
-        raise ValueError(f"unsupported mapping version: {version!r}")
-    for key in ("N", "n", "seed", "pairs"):
-        if key not in doc:
-            raise ValueError(f"mapping document missing {key!r}")
+    doc = load_versioned(data, "mapping", MAPPING_VERSION, ("N", "n", "seed", "pairs"))
     if not isinstance(doc["pairs"], list):
         raise ValueError("mapping pairs must be a list")
     pairs = []

@@ -31,27 +31,16 @@ Zero-controlled Hadamard ZERO_CH, control active on |0>:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ir import Circuit, Gate, GateKind, Level, entangler_count
-
-TARGET_ZERO = "target-in-|0>"
-
-
-@dataclass(frozen=True)
-class Assumption:
-    """Marks an abstract gate whose rewrite is exact only on |0> targets."""
-
-    gate_index: int
-    assumption: str = TARGET_ZERO
 
 
 @dataclass(frozen=True)
 class LoweringReport:
     entanglers_emitted: int
     single_qubit_gates_emitted: int
-    assumptions_used: tuple[Assumption, ...] = field(default_factory=tuple)
 
 
 def lower_g(p: Fraction | float, target: int) -> list[Gate]:
@@ -80,15 +69,13 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
     """Rewrite an abstract circuit into the lowered gate set.
 
     Gates already in the lowered set pass through unchanged. The report
-    counts entanglers and single-qubit gates in the output and records,
-    per abstract gate index, every use of the |0>-target assumption. A CG
-    whose target an earlier gate has touched breaks that assumption, so it
-    is rejected with its gate index instead of being lowered wrongly.
+    counts entanglers and single-qubit gates in the output. A CG whose
+    target an earlier gate has touched is rejected with its gate index,
+    since its one-CNOT rewrite is exact only on a |0> target.
     """
     if circuit.level is not Level.ABSTRACT:
         raise ValueError("circuit is already lowered")
     gates: list[Gate] = []
-    assumptions: list[Assumption] = []
     touched: set[int] = set()
     for i, gate in enumerate(circuit.gates):
         if gate.kind is GateKind.G:
@@ -100,7 +87,6 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
                     "but its one-CNOT rewrite needs the target in |0>"
                 )
             gates += lower_cg(gate.prob, gate.control, gate.target)
-            assumptions.append(Assumption(gate_index=i))
         elif gate.kind is GateKind.ZERO_CH:
             gates += lower_zero_ch(gate.control, gate.target)
         else:
@@ -111,6 +97,5 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
     report = LoweringReport(
         entanglers_emitted=entanglers,
         single_qubit_gates_emitted=len(lowered) - entanglers,
-        assumptions_used=tuple(assumptions),
     )
     return lowered, report

@@ -33,9 +33,6 @@ class StateVector:
     n_qubits: int
     amps: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def copy(self) -> StateVector:
         return StateVector(self.n_qubits, self.amps.copy())
 

@@ -204,6 +204,40 @@ def test_encode_failing_mid_write_leaves_no_partial_or_orphan_file(
     assert all(path.read_bytes() == b"old" for path in targets.values())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "7", "-o", "{out}"],
+        ["scan", "--n-max", "3", "--csv", "{out}"],
+        ["scan", "--n-max", "3", "--summary", "{out}"],
+    ],
+    ids=["synth", "scan-csv", "scan-summary"],
+)
+def test_a_failing_write_leaves_the_old_file_and_no_temporary(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "out"
+    target.write_bytes(b"old")
+
+    def fsync(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    assert main([arg.format(out=target) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert "No space left" in captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert target.read_bytes() == b"old"
+
+
+def test_outputs_must_be_regular_files(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    assert main(["synth", "7", "-o", str(target)]) == 1
+    assert "not a regular file" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list(target.iterdir()) == []
+
+
 def test_encode_renames_the_circuit_into_place_before_the_mapping(tmp_path, capsys, monkeypatch):
     dataset = tmp_path / "records.txt"
     dataset.write_bytes(b"a\nb\nc\n")
@@ -232,6 +266,10 @@ def test_encode_refuses_one_path_for_both_outputs(tmp_path, capsys):
         "--mapping-out", str(tmp_path / "out"),
         "--circuit-out", str(tmp_path / ".." / tmp_path.name / "out"),
     ]) == 1
+    assert "different files" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.txt"]
+    same = str(tmp_path / "same.csv")
+    assert main(["scan", "--n-max", "3", "--csv", same, "--summary", same]) == 1
     assert "different files" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.txt"]
 

@@ -48,15 +48,23 @@ def test_parse_rejects_bad_json():
 
 def test_parse_rejects_wrong_version():
     doc = json.loads(emit_document(synthesize(2)))
-    doc["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        parse_document(json.dumps(doc))
+    for version in (99, True, 1.0, "1"):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            parse_document(json.dumps(doc))
 
 
 def test_parse_rejects_missing_fields():
     doc = json.loads(emit_document(synthesize(2)))
     del doc["gates"]
     with pytest.raises(ValueError, match="missing"):
+        parse_document(json.dumps(doc))
+
+
+def test_parse_rejects_unknown_top_level_fields():
+    doc = json.loads(emit_document(synthesize(2)))
+    doc["qubits"] = 1
+    with pytest.raises(ValueError, match=r"circuit document has unknown fields \['qubits'\]"):
         parse_document(json.dumps(doc))
 
 

@@ -89,12 +89,15 @@ def test_deserialize_rejects_duplicate_ordinal():
 def test_deserialize_rejects_bad_documents():
     with pytest.raises(ValueError, match="malformed"):
         deserialize(b"{not json")
-    with pytest.raises(ValueError, match="version"):
-        deserialize(b'{"version": 2, "N": 1, "n": 1, "seed": 0, "pairs": [["0", 0]]}')
+    for version in (b"2", b"true", b"1.0"):
+        with pytest.raises(ValueError, match="version"):
+            deserialize(b'{"version": %s, "N": 1, "n": 1, "seed": 0, "pairs": [["0", 0]]}' % version)
     with pytest.raises(ValueError, match="missing"):
         deserialize(b'{"version": 1, "N": 1, "n": 1, "pairs": [["0", 0]]}')
     with pytest.raises(ValueError, match="pair count"):
         deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": []}')
+    with pytest.raises(ValueError, match=r"unknown fields \['sede'\]"):
+        deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": [["0", 0]], "sede": 5}')
     # Distinct strings so the bijectivity check passes, but "11" is not one
     # of the three addresses that encode 0..2 on two bits.
     with pytest.raises(ValueError, match="cover exactly"):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from superposer.ir import Circuit, Gate, GateKind, Level, entangler_count
 from superposer.lowering import (
-    Assumption,
     lower,
     lower_cg,
     lower_g,
@@ -100,8 +99,6 @@ def test_lower_n7_report():
     assert len(lowered) == 12
     assert report.entanglers_emitted == 3
     assert report.single_qubit_gates_emitted == 9
-    assert report.assumptions_used == (Assumption(gate_index=1),)
-    assert report.assumptions_used[0].assumption == "target-in-|0>"
 
 
 def test_lower_passes_hadamards_through():
@@ -109,7 +106,6 @@ def test_lower_passes_hadamards_through():
     lowered, report = lower(abstract)
     assert lowered.gates == abstract.gates
     assert report.entanglers_emitted == 0
-    assert report.assumptions_used == ()
 
 
 def test_lower_rejects_lowered_input():
