@@ -49,20 +49,21 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
         kind = GateKind(entry.get("kind"))
     except ValueError:
         raise ValueError(f"gate {index}: unknown kind {entry.get('kind')!r}") from None
+    # json.loads gives true/false as bool, a subclass of int: exact type checks.
     target = entry.get("target")
-    if not isinstance(target, int):
+    if type(target) is not int:
         raise ValueError(f"gate {index}: target must be an integer")
     control = entry.get("control")
-    if control is not None and not isinstance(control, int):
+    if control is not None and type(control) is not int:
         raise ValueError(f"gate {index}: control must be an integer")
     prob = entry.get("prob")
     if prob is not None:
         if not (isinstance(prob, list) and len(prob) == 2
-                and all(isinstance(v, int) for v in prob) and prob[1] != 0):
+                and all(type(v) is int for v in prob) and prob[1] != 0):
             raise ValueError(f"gate {index}: prob must be [numerator, denominator]")
         prob = Fraction(prob[0], prob[1])
     angle = entry.get("angle")
-    if angle is not None and not isinstance(angle, (int, float)):
+    if angle is not None and type(angle) not in (int, float):
         raise ValueError(f"gate {index}: angle must be a number")
     try:
         return Gate(kind=kind, target=target, control=control, angle=angle, prob=prob)
@@ -98,7 +99,7 @@ def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) ->
 def parse_document(text: str) -> Circuit:
     """Parse and validate a circuit document."""
     doc = load_versioned(text, "circuit", DOCUMENT_VERSION, ("n_qubits", "level", "gates"))
-    if not isinstance(doc["n_qubits"], int):
+    if type(doc["n_qubits"]) is not int:
         raise ValueError("n_qubits must be an integer")
     try:
         level = Level(doc["level"])

@@ -5,6 +5,15 @@ vectors of length 2**n with qubit 0 as the most significant index bit.
 Gates update the amplitudes in place through reshaped views that pair
 the two values of the target bit, so no 2**n x 2**n matrix is ever built.
 
+How a gate runs depends only on the size of those paired halves. Up to
+one block (2**15 amplitudes, 256 KiB) it is three whole-array numpy
+expressions, which cost least on small states. Above that, the halves
+are walked block by block with in-place ufuncs and two block-sized
+buffers: no temporary grows with the state, each block stays in cache,
+and a target near the last qubit no longer gives numpy inner loops of
+1-4 amplitudes. Both paths make the same IEEE products and sums, so
+they give the same amplitudes bit for bit.
+
 ``run`` starts narrow. A qubit that no gate has touched yet is exactly
 |0>, so ``run`` keeps only the 2**w amplitudes of qubits 0..w-1, where
 w - 1 is the highest qubit touched so far. When a gate first reaches a
@@ -26,6 +35,7 @@ from .ir import Circuit, Gate, GateKind
 QUBIT_CAP = 24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -87,10 +97,31 @@ def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np
     return sub[:, 0], sub[:, 1]
 
 
+def _blocks(shape: tuple[int, ...]) -> list[tuple]:
+    """Index tuples that cut an array of this shape into _BLOCK-element pieces.
+
+    Every size is a power of two and the array holds more than _BLOCK
+    elements. The trailing axes that fit in one block are kept whole, the
+    next axis is cut into equal slices and the axes before it are walked
+    one index at a time.
+    """
+    inner, axis = 1, len(shape) - 1
+    while inner * shape[axis] <= _BLOCK:
+        inner *= shape[axis]
+        axis -= 1
+    step = _BLOCK // inner
+    cuts = [(slice(j, j + step),) for j in range(0, shape[axis], step)]
+    for size in reversed(shape[:axis]):
+        cuts = [(i, *cut) for i in range(size) for cut in cuts]
+    return cuts
+
+
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     x0, x1 = _halves(amps, gate, n_qubits)
     kind = gate.kind
-    if kind is GateKind.Z or kind is GateKind.CZ:
+    if x0.size > _BLOCK:
+        _apply_blocked(x0, x1, gate)
+    elif kind is GateKind.Z or kind is GateKind.CZ:
         x1 *= -1.0
     elif kind is GateKind.X or kind is GateKind.CNOT:
         old0 = x0.copy()
@@ -101,6 +132,44 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         new0 = a * x0 + b * x1
         x1[...] = c * x0 + d * x1
         x0[...] = new0
+
+
+def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
+    """``_apply_inplace``'s arithmetic on halves larger than one block.
+
+    The products and sums per amplitude are those of the small path, and
+    x + y and y + x are the same double, so the result is identical bit
+    for bit. A contiguous run of 4 or fewer amplitudes moves to the front,
+    so each ufunc loops over the longest axis. Z multiplies by -1.0 because
+    np.negative(..., order="C") writes wrong values on such a view in
+    place (numpy 2.4).
+    """
+    kind = gate.kind
+    flip = kind is GateKind.Z or kind is GateKind.CZ
+    swap = kind is GateKind.X or kind is GateKind.CNOT
+    if not (flip or swap):
+        a, b, c, d = _coefficients(gate)
+    short = x0.shape[-1] <= 4
+    s0, s1 = np.empty(_BLOCK), np.empty(_BLOCK)
+    for cut in _blocks(x0.shape):
+        y0, y1 = x0[cut], x1[cut]
+        if short:
+            y0, y1 = np.moveaxis(y0, -1, 0), np.moveaxis(y1, -1, 0)
+        if flip:
+            np.multiply(y1, -1.0, out=y1, order="C")
+            continue
+        t0, t1 = s0.reshape(y0.shape), s1.reshape(y0.shape)
+        if swap:
+            np.copyto(t0, y0)
+            np.copyto(y0, y1)
+            np.copyto(y1, t0)
+            continue
+        np.multiply(y0, c, out=t1, order="C")
+        np.multiply(y0, a, out=y0, order="C")
+        np.multiply(y1, b, out=t0, order="C")
+        np.add(y0, t0, out=y0, order="C")
+        np.multiply(y1, d, out=y1, order="C")
+        np.add(y1, t1, out=y1, order="C")
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
@@ -151,6 +220,20 @@ def uniform_distance(state: StateVector, N: int) -> float:
     amps = state.amps
     if N > amps.size:
         raise ValueError(f"N={N} exceeds the state dimension {amps.size}")
-    head = np.max(np.abs(amps[:N] - 1.0 / math.sqrt(N)))
-    tail = np.max(np.abs(amps[N:]), initial=0.0)
+    head = _max_abs_deviation(amps[:N], 1.0 / math.sqrt(N))
+    tail = _max_abs_deviation(amps[N:], 0.0)
     return float(max(head, tail))
+
+
+def _max_abs_deviation(values: np.ndarray, level: float) -> float:
+    """max |values - level| (0.0 if empty), one block at a time.
+
+    max is exact and np.maximum carries a NaN through, so this is the
+    double one pass over the whole array would give, with temporaries of
+    one block instead of two the size of the state.
+    """
+    peak = np.float64(0.0)
+    for start in range(0, values.size, _BLOCK):
+        deviation = values[start:start + _BLOCK] - level
+        peak = np.maximum(peak, np.abs(deviation, out=deviation).max())
+    return peak

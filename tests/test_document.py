@@ -87,9 +87,10 @@ def test_parse_rejects_bad_probability_shape():
     doc["gates"][0]["prob"] = [1, 2, 3]
     with pytest.raises(ValueError, match="prob"):
         parse_document(json.dumps(doc))
-    doc["gates"][0]["prob"] = [1, 0]
-    with pytest.raises(ValueError, match="prob"):
-        parse_document(json.dumps(doc))
+    for prob in ([1, 0], [True, 2], [1, True]):
+        doc["gates"][0]["prob"] = prob
+        with pytest.raises(ValueError, match="gate 0: prob"):
+            parse_document(json.dumps(doc))
 
 
 def test_parse_rejects_unknown_gate_fields():
@@ -118,3 +119,23 @@ def test_parse_validates_register_width():
     doc["n_qubits"] = 1
     with pytest.raises(ValueError, match="out of range"):
         parse_document(json.dumps(doc))
+
+
+def test_parse_rejects_booleans_as_numbers():
+    # JSON true/false load as bool, which Python counts as an int.
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        parse_document('{"version": 1, "n_qubits": true, "level": "abstract",'
+                       ' "gates": [{"kind": "h", "target": false}]}')
+    abstract = json.loads(emit_document(synthesize(3)))
+    lowered = json.loads(emit_document(lower(synthesize(3))[0]))
+    cases = [
+        (abstract, 0, "target", False, "target must be an integer"),
+        (abstract, 1, "control", False, "control must be an integer"),
+        (lowered, 0, "angle", False, "angle must be a number"),
+    ]
+    for doc, index, field, value, message in cases:
+        bad = json.loads(json.dumps(doc))
+        assert field in bad["gates"][index]
+        bad["gates"][index][field] = value
+        with pytest.raises(ValueError, match=f"gate {index}: {message}"):
+            parse_document(json.dumps(bad))

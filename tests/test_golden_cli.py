@@ -27,6 +27,8 @@ def test_cli_output_is_byte_identical(tmp_path, capsys):
     expect("synth_7_lower.qasm", _run(["synth", "7", "--lower", "--format", "qasm"], capsys))
     expect("synth_12.json", _run(["synth", "12"], capsys))
     expect("verify_7.txt", _run(["verify", "7"], capsys))
+    # 18 qubits: the simulator's blocked kernels run here.
+    expect("verify_200001.txt", _run(["verify", "200001"], capsys))
 
     rows = tmp_path / "rows.csv"
     expect("scan_5_summary.csv", _run(["scan", "--n-max", "5", "--csv", str(rows)], capsys))

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superposer
-from superposer.ir import Circuit, Gate
+from superposer import simulator
+from superposer.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from superposer.simulator import (
     QUBIT_CAP,
     StateVector,
@@ -219,6 +220,81 @@ def test_run_equals_a_full_width_apply_chain(circuit):
     assert np.array_equal(amps, state.amps)
 
 
+def _expression_kernel(amps, gate, n_qubits):
+    """The whole-array kernel the blocked one must match bit for bit."""
+    x0, x1 = simulator._halves(amps, gate, n_qubits)
+    if gate.kind in (GateKind.Z, GateKind.CZ):
+        x1 *= -1.0
+    elif gate.kind in (GateKind.X, GateKind.CNOT):
+        old0 = x0.copy()
+        x0[...] = x1
+        x1[...] = old0
+    else:
+        a, b, c, d = simulator._coefficients(gate)
+        new0 = a * x0 + b * x1
+        x1[...] = c * x0 + d * x1
+        x0[...] = new0
+
+
+def _every_blocked_gate(n):
+    """Gates of every kind on every target of n qubits whose halves exceed one block.
+
+    Controls sit next to the target on either side and half the register
+    away, so both orders of control and target, and ZERO_CH's control
+    value 0, run on every target.
+    """
+    for kind in GateKind:
+        for t in range(n):
+            if kind not in TWO_QUBIT_KINDS:
+                controls = [None]
+            else:
+                controls = [c for c in (t - 1, t + 1, (t + n // 2) % n) if 0 <= c < n]
+            for c in controls:
+                gate = Gate(
+                    kind, t, control=c,
+                    angle=0.3 + t if kind is GateKind.RY else None,
+                    prob=Fraction(t + 1, 2 * n + 1) if kind in (GateKind.G, GateKind.CG) else None,
+                )
+                if simulator._halves(np.empty(1 << n), gate, n)[0].size > simulator._BLOCK:
+                    yield gate
+
+
+def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit():
+    # Halves of more than one block run the blocked path: 1-qubit kinds from
+    # 17 qubits, controlled kinds (a quarter of the state each) from 18.
+    seen = set()
+    for n in (17, 18):
+        rng = np.random.default_rng(n)
+        state = rng.normal(size=1 << n)
+        # Half the amplitudes are zeros of either sign, so pairs of zeros
+        # meet in the sums and their signs are compared too.
+        state[rng.random(state.size) < 0.5] = 0.0
+        state[rng.random(state.size) < 0.1] *= -1.0
+        for gate in _every_blocked_gate(n):
+            seen.add((gate.kind, gate.control is not None and gate.control > gate.target))
+            expected = state.copy()
+            _expression_kernel(expected, gate, n)
+            actual = state.copy()
+            simulator._apply_inplace(actual, gate, n)
+            assert actual.tobytes() == expected.tobytes(), (n, gate)
+    assert {kind for kind, _ in seen} == set(GateKind)
+    assert {kind for kind, above in seen if above} == TWO_QUBIT_KINDS
+
+
+@pytest.mark.parametrize("level", ["abstract", "lowered"])
+def test_run_peak_memory_stays_near_one_state(level):
+    circuit = synthesize((1 << 18) - 1)
+    if level == "lowered":
+        circuit, _ = lower(circuit)
+    tracemalloc.start()
+    try:
+        state = run(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * state.amps.nbytes
+
+
 def test_uniform_distance_examples():
     state = run(synthesize(8))
     assert uniform_distance(state, 8) < 1e-15
@@ -245,6 +321,13 @@ def test_uniform_distance_equals_the_full_expected_vector():
     # N equal to the dimension leaves no tail to compare.
     near = StateVector(2, np.array([0.5, 0.5, 0.5, 0.625]))
     assert uniform_distance(near, 4) == 0.125 == reference(near, 4)
+    # Wider than one block: the maxima are taken block by block.
+    wide = StateVector(17, rng.normal(size=1 << 17) * 1e-3)
+    block = simulator._BLOCK
+    for N in (1, block - 1, block, block + 1, 3 * block + 5, 1 << 17):
+        assert uniform_distance(wide, N) == reference(wide, N)
+    wide.amps[2 * block + 3] = np.nan
+    assert math.isnan(uniform_distance(wide, 3 * block))
 
 
 def test_uniform_distance_rejects_bad_n():
