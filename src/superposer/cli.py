@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import glob
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -132,7 +133,8 @@ def _write_all(outputs: Sequence[tuple[str, Iterable[bytes]]]) -> None:
     """Write each (path, chunks) output in full beside its target, then rename all in order.
 
     The temporary files are flushed to disk first and removed on failure, so
-    no target is ever left partly written. Targets are resolved through
+    no target is ever left partly written. Temporaries of the same targets
+    left by killed runs are removed first. Targets are resolved through
     symlinks; two that are one file, or one that is not a regular file, are
     refused before anything is written (a dict would merge equal paths).
     """
@@ -142,6 +144,8 @@ def _write_all(outputs: Sequence[tuple[str, Iterable[bytes]]]) -> None:
     for target in targets:
         if target.exists() and not target.is_file():
             raise ValueError(f"output {str(target)!r} is not a regular file")
+    for target in targets:
+        _remove_orphaned_temps(target)
     temps = [target.with_name(f"{target.name}.{os.getpid()}.tmp") for target in targets]
     try:
         for temp, (_, chunks) in zip(temps, outputs):
@@ -154,6 +158,32 @@ def _write_all(outputs: Sequence[tuple[str, Iterable[bytes]]]) -> None:
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)
+
+
+def _remove_orphaned_temps(target: Path) -> None:
+    """Remove ``<target>.<pid>.tmp`` files whose writing process no longer runs.
+
+    A live run's temporary is never touched, so concurrent runs cannot
+    rename or delete each other's partial files.
+    """
+    prefix = target.name + "."
+    for temp in target.parent.glob(glob.escape(prefix) + "*.tmp"):
+        pid = temp.name[len(prefix):-len(".tmp")]
+        if pid.isascii() and pid.isdigit() and not _process_runs(int(pid)):
+            temp.unlink(missing_ok=True)
+
+
+def _process_runs(pid: int) -> bool:
+    """Whether a process with this pid exists; True where that cannot be told."""
+    if os.name != "posix" or pid <= 0:
+        return True
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        return True
+    return True
 
 
 def cmd_encode(args: argparse.Namespace) -> int:

@@ -49,13 +49,8 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
         kind = GateKind(entry.get("kind"))
     except ValueError:
         raise ValueError(f"gate {index}: unknown kind {entry.get('kind')!r}") from None
-    # json.loads gives true/false as bool, a subclass of int: exact type checks.
-    target = entry.get("target")
-    if type(target) is not int:
-        raise ValueError(f"gate {index}: target must be an integer")
-    control = entry.get("control")
-    if control is not None and type(control) is not int:
-        raise ValueError(f"gate {index}: control must be an integer")
+    # json.loads gives true/false as bool, a subclass of int: exact type
+    # checks here, and in Gate for the qubit indices.
     prob = entry.get("prob")
     if prob is not None:
         if not (isinstance(prob, list) and len(prob) == 2
@@ -66,7 +61,8 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
     if angle is not None and type(angle) not in (int, float):
         raise ValueError(f"gate {index}: angle must be a number")
     try:
-        return Gate(kind=kind, target=target, control=control, angle=angle, prob=prob)
+        return Gate(kind=kind, target=entry.get("target"), control=entry.get("control"),
+                    angle=angle, prob=prob)
     except ValueError as exc:
         raise ValueError(f"gate {index}: {exc}") from None
 

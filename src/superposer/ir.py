@@ -60,11 +60,16 @@ class Gate:
     prob: Fraction | None = None
 
     def __post_init__(self) -> None:
+        # bool is a subclass of int, so qubit indices need an exact type check.
+        if type(self.target) is not int:
+            raise ValueError(f"target must be an integer, got {self.target!r}")
         if self.target < 0:
             raise ValueError(f"target {self.target} must be non-negative")
         if self.kind in TWO_QUBIT_KINDS:
             if self.control is None:
                 raise ValueError(f"{self.kind.name} requires a control qubit")
+            if type(self.control) is not int:
+                raise ValueError(f"control must be an integer, got {self.control!r}")
             if self.control < 0:
                 raise ValueError(f"control {self.control} must be non-negative")
             if self.control == self.target:
@@ -157,6 +162,8 @@ class Circuit:
     level: Level = Level.ABSTRACT
 
     def __post_init__(self) -> None:
+        if type(self.n_qubits) is not int:
+            raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits {self.n_qubits} must be at least 1")
         object.__setattr__(self, "gates", tuple(self.gates))

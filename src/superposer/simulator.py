@@ -5,14 +5,20 @@ vectors of length 2**n with qubit 0 as the most significant index bit.
 Gates update the amplitudes in place through reshaped views that pair
 the two values of the target bit, so no 2**n x 2**n matrix is ever built.
 
-How a gate runs depends only on the size of those paired halves. Up to
-one block (2**15 amplitudes, 256 KiB) it is three whole-array numpy
-expressions, which cost least on small states. Above that, the halves
-are walked block by block with in-place ufuncs and two block-sized
-buffers: no temporary grows with the state, each block stays in cache,
-and a target near the last qubit no longer gives numpy inner loops of
-1-4 amplitudes. Both paths make the same IEEE products and sums, so
-they give the same amplitudes bit for bit.
+How a gate runs depends on the state's size and on how far apart its
+paired amplitudes lie. On states of at most 2**16 amplitudes it is three
+whole-array numpy expressions, which cost least on small states. On
+wider states, H, RY, G, CG and ZERO_CH gates whose pairs lie at most
+2**11 amplitudes apart walk the state in contiguous chunks of 2**15
+amplitudes (256 KiB). Each chunk is copied with the two halves of every
+pair swapped, the copy and the chunk are multiplied by per-gate patterns
+of the matrix entries, and the two are added, so every ufunc runs as one
+long loop. A controlled gate skips the chunks where its control is
+inactive, or gathers the active runs into half a chunk. Every other gate
+on a wide state walks its halves block by block with in-place ufuncs and
+two block-sized buffers. No temporary grows with the state, and each
+block stays in cache. All paths make the same IEEE products and sums
+(x + y is y + x exactly), so they give the same amplitudes bit for bit.
 
 ``run`` starts narrow. A qubit that no gate has touched yet is exactly
 |0>, so ``run`` keeps only the 2**w amplitudes of qubits 0..w-1, where
@@ -36,6 +42,10 @@ QUBIT_CAP = 24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 15
+# Chunks beat the blocked rows once the pairs lie 2**11 or fewer
+# amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
+_CHUNK_REACH_BITS = 11
+_MIXING_KINDS = frozenset({GateKind.H, GateKind.RY, GateKind.G, GateKind.CG, GateKind.ZERO_CH})
 
 
 @dataclass
@@ -100,13 +110,13 @@ def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np
 def _blocks(shape: tuple[int, ...]) -> list[tuple]:
     """Index tuples that cut an array of this shape into _BLOCK-element pieces.
 
-    Every size is a power of two and the array holds more than _BLOCK
+    Every size is a power of two and the array holds at least _BLOCK
     elements. The trailing axes that fit in one block are kept whole, the
     next axis is cut into equal slices and the axes before it are walked
     one index at a time.
     """
     inner, axis = 1, len(shape) - 1
-    while inner * shape[axis] <= _BLOCK:
+    while axis > 0 and inner * shape[axis] <= _BLOCK:
         inner *= shape[axis]
         axis -= 1
     step = _BLOCK // inner
@@ -116,10 +126,83 @@ def _blocks(shape: tuple[int, ...]) -> list[tuple]:
     return cuts
 
 
+def _runs(x: np.ndarray, width: int) -> np.ndarray:
+    """A contiguous vector as consecutive runs of `width` amplitudes.
+
+    The shape is (runs, k). Runs of 2 to 8 amplitudes become single byte
+    strings (k = 1), so a strided copy of them is one long loop of wide
+    items rather than many loops of a few doubles.
+    """
+    if 1 < width <= 8:
+        return x.view(f"S{8 * width}")[:, None]
+    return x.reshape(-1, width)
+
+
+def _pairs(x: np.ndarray, width: int) -> np.ndarray:
+    """The runs of ``_runs`` two by two, shape (pairs, 2, k)."""
+    runs = _runs(x, width)
+    return runs.reshape(-1, 2, runs.shape[1])
+
+
+def _mix(x: np.ndarray, r: int, low: np.ndarray, high: np.ndarray, swapped: np.ndarray) -> None:
+    """x = low*x + high*(x with the runs of each pair r apart swapped), in place.
+
+    With low = [a..|d..] and high = [b..|c..] per pair, each amplitude
+    gets the products of the expression path, and x + y is y + x exactly,
+    so the result is the same bit for bit. All four arrays have one size.
+    """
+    src, dst = _pairs(x, r), _pairs(swapped, r)
+    dst[:, 0] = src[:, 1]
+    dst[:, 1] = src[:, 0]
+    np.multiply(swapped, high, out=swapped)
+    np.multiply(x, low, out=x)
+    np.add(x, swapped, out=x)
+
+
+def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
+    """A 2x2 gate whose pairs lie at most 2**_CHUNK_REACH_BITS apart, chunk by chunk.
+
+    Each contiguous chunk of _BLOCK amplitudes holds whole pairs. If the
+    control bit lies above the chunk, chunks where it is inactive are
+    skipped. If it lies inside, the active runs are gathered into a
+    half-chunk, where the target pairs lie r apart when the control is
+    above the target and r/2 apart when it is below, and scattered back.
+    """
+    r = 1 << (n_qubits - gate.target - 1)
+    control_run = 0 if gate.control is None else 1 << (n_qubits - gate.control - 1)
+    active = 0 if gate.kind is GateKind.ZERO_CH else 1
+    gather = 0 < control_run < _BLOCK
+    if gather and control_run < r:
+        r //= 2
+    size = _BLOCK // 2 if gather else _BLOCK
+    low, high, swapped = np.empty(size), np.empty(size), np.empty(size)
+    a, b, c, d = _coefficients(gate)
+    for pattern, first, second in ((low, a, d), (high, b, c)):
+        halves = pattern.reshape(-1, 2, r)
+        halves[:, 0] = first
+        halves[:, 1] = second
+    if gather:
+        packed = np.empty(size)
+        packed_runs = _runs(packed, control_run)
+    for start in range(0, amps.size, _BLOCK):
+        chunk = amps[start:start + _BLOCK]
+        if gather:
+            runs = _pairs(chunk, control_run)[:, active]
+            packed_runs[...] = runs
+            _mix(packed, r, low, high, swapped)
+            runs[...] = packed_runs
+        elif not control_run or start // control_run % 2 == active:
+            _mix(chunk, r, low, high, swapped)
+
+
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    x0, x1 = _halves(amps, gate, n_qubits)
     kind = gate.kind
-    if x0.size > _BLOCK:
+    wide = amps.size > 2 * _BLOCK
+    if wide and kind in _MIXING_KINDS and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
+        _apply_chunked(amps, gate, n_qubits)
+        return
+    x0, x1 = _halves(amps, gate, n_qubits)
+    if wide:
         _apply_blocked(x0, x1, gate)
     elif kind is GateKind.Z or kind is GateKind.CZ:
         x1 *= -1.0
@@ -135,12 +218,13 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
 
 
 def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
-    """``_apply_inplace``'s arithmetic on halves larger than one block.
+    """``_apply_inplace``'s arithmetic on the halves of a state of more than 2**16 amplitudes.
 
     The products and sums per amplitude are those of the small path, and
     x + y and y + x are the same double, so the result is identical bit
-    for bit. A contiguous run of 4 or fewer amplitudes moves to the front,
-    so each ufunc loops over the longest axis. Z multiplies by -1.0 because
+    for bit. A contiguous run of 4 or fewer amplitudes (Z, X, CZ or CNOT
+    near the last qubit, or a control there below a distant target) moves
+    to the front, so each ufunc loops over the longest axis. Z multiplies by -1.0 because
     np.negative(..., order="C") writes wrong values on such a view in
     place (numpy 2.4).
     """
@@ -222,7 +306,7 @@ def uniform_distance(state: StateVector, N: int) -> float:
         raise ValueError(f"N={N} exceeds the state dimension {amps.size}")
     head = _max_abs_deviation(amps[:N], 1.0 / math.sqrt(N))
     tail = _max_abs_deviation(amps[N:], 0.0)
-    return float(max(head, tail))
+    return float(np.maximum(head, tail))
 
 
 def _max_abs_deviation(values: np.ndarray, level: float) -> float:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +89,23 @@ def test_scan_writes_both_csv_files(tmp_path):
     assert counts == [2, 1, 3, 0]
     summary = summary_path.read_text().strip().splitlines()
     assert summary == ["n,max,mean", "2,1,0.5", "3,3,1.5"]
+
+
+def test_scan_removes_temporaries_of_killed_runs_only(tmp_path):
+    # A finished child's pid stands for a killed run; the test's parent is alive.
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait(timeout=60)
+    rows_path = tmp_path / "rows.csv"
+    orphan = tmp_path / f"rows.csv.{dead.pid}.tmp"
+    live = tmp_path / f"rows.csv.{os.getppid()}.tmp"
+    unrelated = [tmp_path / "rows.csv.x.tmp", tmp_path / f"other.csv.{dead.pid}.tmp"]
+    for path in (orphan, live, *unrelated):
+        path.write_text("partial")
+    assert main(["scan", "--n-max", "3", "--csv", str(rows_path)]) == 0
+    assert not orphan.exists()
+    assert live.read_text() == "partial"
+    assert all(path.read_text() == "partial" for path in unrelated)
+    assert rows_path.read_text().startswith("N,n,xi,M,g,m,cnot,case")
 
 
 def test_scan_rejects_bad_width(capsys):

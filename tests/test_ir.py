@@ -48,6 +48,18 @@ def test_circuit_rejects_zero_width():
         Circuit(0, ())
 
 
+def test_qubit_indices_and_width_must_be_ints_not_bools():
+    # bool is a subclass of int, so a value check alone would let these build.
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        Circuit(True, ())
+    with pytest.raises(ValueError, match="target must be an integer"):
+        Gate(GateKind.H, False)
+    with pytest.raises(ValueError, match="control must be an integer"):
+        Gate.cnot(True, 0)
+    with pytest.raises(ValueError, match="target must be an integer"):
+        Gate.ry(1.0, 0.5)
+
+
 def test_lowered_circuit_rejects_abstract_gate():
     with pytest.raises(ValueError, match="not allowed"):
         Circuit(2, (Gate.zero_ch(0, 1),), Level.LOWERED)

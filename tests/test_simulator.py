@@ -236,12 +236,12 @@ def _expression_kernel(amps, gate, n_qubits):
         x0[...] = new0
 
 
-def _every_blocked_gate(n):
-    """Gates of every kind on every target of n qubits whose halves exceed one block.
+def _every_wide_gate(n):
+    """Gates of every kind on every target of n qubits.
 
     Controls sit next to the target on either side and half the register
-    away, so both orders of control and target, and ZERO_CH's control
-    value 0, run on every target.
+    away, so both orders of control and target, control runs longer and
+    shorter than one chunk, and ZERO_CH's control value 0 all occur.
     """
     for kind in GateKind:
         for t in range(n):
@@ -250,18 +250,32 @@ def _every_blocked_gate(n):
             else:
                 controls = [c for c in (t - 1, t + 1, (t + n // 2) % n) if 0 <= c < n]
             for c in controls:
-                gate = Gate(
+                yield Gate(
                     kind, t, control=c,
                     angle=0.3 + t if kind is GateKind.RY else None,
                     prob=Fraction(t + 1, 2 * n + 1) if kind in (GateKind.G, GateKind.CG) else None,
                 )
-                if simulator._halves(np.empty(1 << n), gate, n)[0].size > simulator._BLOCK:
-                    yield gate
 
 
-def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit():
-    # Halves of more than one block run the blocked path: 1-qubit kinds from
-    # 17 qubits, controlled kinds (a quarter of the state each) from 18.
+def _control_place(gate, n):
+    """Where the control bit lies: above or below the target, and beyond or inside one chunk."""
+    if gate.control is None:
+        return None
+    if gate.control > gate.target:
+        return "below"
+    return "above, beyond a chunk" if 1 << (n - gate.control - 1) >= simulator._BLOCK else "above, inside"
+
+
+def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
+    # States of more than 2**16 amplitudes take the wide paths: contiguous
+    # chunks for 2x2 gates whose pairs lie close together, blocked rows for
+    # the rest. Both must give the whole-array expressions' bits.
+    paths = []
+    for name in ("_apply_chunked", "_apply_blocked"):
+        def record(*args, _real=getattr(simulator, name), _name=name):
+            paths.append(_name)
+            _real(*args)
+        monkeypatch.setattr(simulator, name, record)
     seen = set()
     for n in (17, 18):
         rng = np.random.default_rng(n)
@@ -270,15 +284,26 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit():
         # meet in the sums and their signs are compared too.
         state[rng.random(state.size) < 0.5] = 0.0
         state[rng.random(state.size) < 0.1] *= -1.0
-        for gate in _every_blocked_gate(n):
-            seen.add((gate.kind, gate.control is not None and gate.control > gate.target))
+        for gate in _every_wide_gate(n):
             expected = state.copy()
             _expression_kernel(expected, gate, n)
             actual = state.copy()
+            paths.clear()
             simulator._apply_inplace(actual, gate, n)
             assert actual.tobytes() == expected.tobytes(), (n, gate)
-    assert {kind for kind, _ in seen} == set(GateKind)
-    assert {kind for kind, above in seen if above} == TWO_QUBIT_KINDS
+            assert len(paths) == 1, (n, gate, paths)
+            seen.add((n, gate.kind, paths[0], _control_place(gate, n)))
+    for n in (17, 18):
+        for kind in GateKind:
+            places = (
+                [None] if kind not in TWO_QUBIT_KINDS
+                else ["below", "above, inside", "above, beyond a chunk"]
+            )
+            ran = {(path, place) for m, k, path, place in seen if (m, k) == (n, kind)}
+            for place in places:
+                assert ("_apply_blocked", place) in ran, (n, kind, place)
+                if kind in simulator._MIXING_KINDS:
+                    assert ("_apply_chunked", place) in ran, (n, kind, place)
 
 
 @pytest.mark.parametrize("level", ["abstract", "lowered"])
@@ -327,6 +352,10 @@ def test_uniform_distance_equals_the_full_expected_vector():
     for N in (1, block - 1, block, block + 1, 3 * block + 5, 1 << 17):
         assert uniform_distance(wide, N) == reference(wide, N)
     wide.amps[2 * block + 3] = np.nan
+    assert math.isnan(uniform_distance(wide, 3 * block))
+    # A NaN past N is a deviation too; max() of the head and tail would drop it.
+    wide.amps[2 * block + 3] = 0.0
+    wide.amps[-1] = np.nan
     assert math.isnan(uniform_distance(wide, 3 * block))
 
 
