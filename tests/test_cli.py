@@ -108,6 +108,18 @@ def test_scan_removes_temporaries_of_killed_runs_only(tmp_path):
     assert rows_path.read_text().startswith("N,n,xi,M,g,m,cnot,case")
 
 
+def test_scan_keeps_a_temporary_whose_writer_cannot_be_signalled(tmp_path, monkeypatch):
+    # EPERM: the pid belongs to a live process of another user, which may still write.
+    def refuse(pid, signal):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "kill", refuse)
+    temp = tmp_path / "rows.csv.1.tmp"
+    temp.write_text("partial")
+    assert main(["scan", "--n-max", "3", "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert temp.read_text() == "partial"
+
+
 def test_scan_rejects_bad_width(capsys):
     assert main(["scan", "--n-max", "1"]) == 1
     capsys.readouterr()

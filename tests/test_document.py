@@ -68,6 +68,14 @@ def test_parse_rejects_unknown_top_level_fields():
         parse_document(json.dumps(doc))
 
 
+def test_parse_rejects_gates_that_are_not_a_list_of_objects():
+    head = '{"version": 1, "n_qubits": 1, "level": "abstract", "gates": '
+    with pytest.raises(ValueError, match="gate 0: expected an object, got 5"):
+        parse_document(head + "[5]}")
+    with pytest.raises(ValueError, match="gates must be a list"):
+        parse_document(head + "{}}")
+
+
 def test_parse_rejects_unknown_kind():
     doc = json.loads(emit_document(synthesize(2)))
     doc["gates"][0]["kind"] = "ccx"

@@ -61,6 +61,37 @@ def test_resolve_rejects_unknown_address():
         mapping.resolve("0000")
 
 
+def _replace_char(text, index, char):
+    index %= len(text)
+    return text[:index] + char + text[index + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(1, 40), seed=st.integers(0, 3), data=st.data())
+def test_resolve_and_invert_agree_with_dicts_of_the_pairs(size, seed, data):
+    # Dicts built from the pairs are the reference for both lookups.
+    mapping = build_mapping(_dataset(size), seed=seed)
+    forward = dict(mapping.pairs)
+    backward = {o: b for b, o in mapping.pairs}
+    chars = "01 +_b\u0660"  # int(s, 2) takes each of these in some position
+    lengths = {"min_size": max(mapping.n - 1, 0), "max_size": mapping.n + 1}
+    real = st.sampled_from(sorted(forward))
+    edited = st.builds(_replace_char, real, st.integers(0, 6), st.sampled_from(chars))
+    texts = real | edited | st.text(chars, **lengths)
+    address = data.draw(texts | texts.map(str.encode) | st.binary(**lengths))
+    if address in forward:
+        assert mapping.resolve(address) == forward[address]
+    else:
+        with pytest.raises(ValueError):
+            mapping.resolve(address)
+    for ordinal in (*range(-1, size + 1), True, False, 1.0, 0.5):
+        if ordinal in backward:
+            assert mapping.invert(ordinal) == backward[ordinal]
+        else:
+            with pytest.raises(ValueError, match="not in the mapping"):
+                mapping.invert(ordinal)
+
+
 def test_invert_rejects_unknown_ordinal():
     mapping = build_mapping(_dataset(7), seed=42)
     with pytest.raises(ValueError):
@@ -96,6 +127,12 @@ def test_deserialize_rejects_bad_documents():
         deserialize(b'{"version": 1, "N": 1, "n": 1, "pairs": [["0", 0]]}')
     with pytest.raises(ValueError, match="pair count"):
         deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": []}')
+    with pytest.raises(ValueError, match="mapping pairs must be a list"):
+        deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": {}}')
+    with pytest.raises(ValueError, match=r"bad mapping pair: \['0'\]"):
+        deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": [["0"]]}')
+    with pytest.raises(ValueError, match="at least one"):
+        deserialize(b'{"version": 1, "N": 0, "n": 1, "seed": 0, "pairs": []}')
     with pytest.raises(ValueError, match=r"unknown fields \['sede'\]"):
         deserialize(b'{"version": 1, "N": 1, "n": 1, "seed": 0, "pairs": [["0", 0]], "sede": 5}')
     # Distinct strings so the bijectivity check passes, but "11" is not one
@@ -120,7 +157,7 @@ def test_deserialize_rejects_wrong_width():
 
 def test_address_map_rejects_duplicates_directly():
     with pytest.raises(ValueError, match="not bijective"):
-        AddressMap(n=1, seed=0, pairs=(("0", 0), ("1", 0)))
+        AddressMap(n=1, seed=0, ordinals=(0, 0))
 
 
 def test_dataset_from_path(tmp_path):
@@ -157,7 +194,7 @@ def test_mapping_invariants_across_sizes_and_seeds():
 
 
 def test_build_indices_keeps_its_last_result():
-    # build_mapping, AddressMap validation and deserialize share one build.
+    # AddressMap.pairs (read by serialize) and deserialize share one build.
     assert build_indices(2960) is build_indices(2960)
 
 
@@ -187,7 +224,7 @@ def test_serialize_equals_the_json_dumps_reference(size, seed):
 def test_address_map_rejects_a_non_int_width_or_seed(field, value):
     fields = {"n": 1, "seed": 0, field: value}
     with pytest.raises(ValueError, match="mapping n and seed must be ints"):
-        AddressMap(pairs=(("0", 0), ("1", 1)), **fields)
+        AddressMap(ordinals=(0, 1), **fields)
 
 
 @pytest.mark.parametrize("field", ["n", "seed"])
@@ -209,4 +246,4 @@ def test_address_map_rejects_an_int_subclass_ordinal():
             return "zero"
 
     with pytest.raises(ValueError, match="record ordinal"):
-        AddressMap(n=1, seed=0, pairs=(("0", Zero(0)), ("1", 1)))
+        AddressMap(n=1, seed=0, ordinals=(Zero(0), 1))

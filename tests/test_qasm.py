@@ -87,6 +87,8 @@ def test_missing_header_reports_line_one():
 
 def test_missing_include():
     _expect_error("OPENQASM 2.0;\nqreg q[2];\n", 2, match="qelib1.inc")
+    err = _expect_error("OPENQASM 2.0;\n", 2, match="qelib1.inc")
+    assert err.column == 1
 
 
 def test_missing_qreg():
@@ -157,6 +159,16 @@ def test_angles_outside_the_decimal_grammar_are_rejected(angle):
         column_predicate=lambda column: column == 4,
         match="bad angle",
     )
+
+
+@pytest.mark.parametrize(
+    "statement, column, message",
+    [("ry(1e999) q[0];", 4, "must be finite"), ("[0];", 1, "expected a gate statement")],
+)
+def test_bad_statements_report_their_position(statement, column, message):
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n{statement}\n'
+    err = _expect_error(text, 4, match=message)
+    assert err.column == column
 
 
 def test_duplicate_qreg_rejected():
