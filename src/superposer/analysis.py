@@ -10,15 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterator, NamedTuple
 
 from .ir import depth as circuit_depth
 from .lowering import lower
 from .synthesis import split, synthesize
 
-SCAN_FIELDS = ("N", "n", "xi", "M", "g", "m", "cnot", "case")
 SUMMARY_FIELDS = ("n", "max", "mean")
 
 MIN_SCAN_N_MAX = 2
@@ -33,20 +30,6 @@ class Case(Enum):
     III = "III"
     IV = "IV"
     V = "V"
-
-    @property
-    def bound(self) -> str:
-        """Symbolic CNOT bound for the family, in the register width n."""
-        return _CASE_BOUNDS[self]
-
-
-_CASE_BOUNDS = {
-    Case.I: "0",
-    Case.II: "n-1",
-    Case.III: "2n-3",
-    Case.IV: "<=2n-4",
-    Case.V: "<=2n-5",
-}
 
 
 def cnot_count(N: int) -> int:
@@ -67,9 +50,9 @@ def classify(N: int) -> Case:
     (III). Remaining odd N stay at or under 2n-4 (IV), and every even
     non-power-of-two stays at or under 2n-5 (V).
     """
+    n, xi, _, g, _ = split(N)
     if N < 2:
         raise ValueError(f"classification requires N >= 2, got {N}")
-    n, xi, _, g, _ = split(N)
     return _case(n, xi, g)
 
 
@@ -167,32 +150,11 @@ def _widths(n_max: int) -> range:
     return range(2, n_max + 1)
 
 
-def summarize(rows: Iterable[ScanRow]) -> ScanStats:
-    """Fold scan rows into per-n max, mean, and count histogram."""
-    totals: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-    maxima: dict[int, int] = {}
-    histograms: dict[int, dict[int, int]] = {}
-    for row in rows:
-        totals[row.n] = totals.get(row.n, 0) + row.cnot
-        sizes[row.n] = sizes.get(row.n, 0) + 1
-        maxima[row.n] = max(maxima.get(row.n, 0), row.cnot)
-        hist = histograms.setdefault(row.n, {})
-        hist[row.cnot] = hist.get(row.cnot, 0) + 1
-    summaries = tuple(
-        NSummary(
-            n=n,
-            max_count=maxima[n],
-            mean_count=totals[n] / sizes[n],
-            histogram=dict(sorted(histograms[n].items())),
-        )
-        for n in sorted(sizes)
-    )
-    return ScanStats(per_n=summaries)
-
-
 def scan(n_max: int) -> ScanStats:
-    """Per-n statistics for widths 2..n_max: ``summarize(scan_rows(n_max))`` in closed form."""
+    """Per-n statistics for widths 2..n_max, in closed form.
+
+    Tests check it against an exhaustive fold of ``scan_rows(n_max)``.
+    """
     summaries = []
     for n in _widths(n_max):
         # 2**n has count 0. Of the other N = 2**xi * M, C(k, j) have j of odd M's
@@ -203,18 +165,3 @@ def scan(n_max: int) -> ScanStats:
         mean = sum(count * size for count, size in histogram.items()) / (1 << (n - 1))
         summaries.append(NSummary(n, max(histogram), mean, histogram))
     return ScanStats(per_n=tuple(summaries))
-
-
-def mean_fit(stats: ScanStats, n_min: int = 3) -> tuple[float, float]:
-    """Least-squares line through (n, mean count) for n >= n_min.
-
-    Returns (slope, intercept). The mean grows linearly in n, so two
-    coefficients describe the whole trend.
-    """
-    points = [(s.n, s.mean_count) for s in stats.per_n if s.n >= n_min]
-    if len(points) < 2:
-        raise ValueError(f"need at least two widths >= {n_min} to fit a line")
-    ns = np.array([p[0] for p in points], dtype=float)
-    means = np.array([p[1] for p in points], dtype=float)
-    slope, intercept = np.polyfit(ns, means, 1)
-    return float(slope), float(intercept)

@@ -124,7 +124,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def _csv_rows(n_max: int) -> Iterator[bytes]:
     """The per-N rows as CSV lines, one at a time, ending in \\r\\n as csv.writer's do."""
-    yield (",".join(analysis.SCAN_FIELDS) + "\r\n").encode()
+    yield (",".join(analysis.ScanRow._fields) + "\r\n").encode()
     for N, n, xi, M, g, m, cnot, case in analysis.scan_rows(n_max):
         yield f"{N},{n},{xi},{M},{g},{m},{cnot},{case.value}\r\n".encode()
 

@@ -50,19 +50,16 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
     except ValueError:
         raise ValueError(f"gate {index}: unknown kind {entry.get('kind')!r}") from None
     # json.loads gives true/false as bool, a subclass of int: exact type
-    # checks here, and in Gate for the qubit indices.
+    # checks here, and in Gate for the qubit indices and the angle.
     prob = entry.get("prob")
     if prob is not None:
         if not (isinstance(prob, list) and len(prob) == 2
                 and all(type(v) is int for v in prob) and prob[1] != 0):
             raise ValueError(f"gate {index}: prob must be [numerator, denominator]")
         prob = Fraction(prob[0], prob[1])
-    angle = entry.get("angle")
-    if angle is not None and type(angle) not in (int, float):
-        raise ValueError(f"gate {index}: angle must be a number")
     try:
         return Gate(kind=kind, target=entry.get("target"), control=entry.get("control"),
-                    angle=angle, prob=prob)
+                    angle=entry.get("angle"), prob=prob)
     except ValueError as exc:
         raise ValueError(f"gate {index}: {exc}") from None
 

@@ -60,6 +60,8 @@ class Gate:
     prob: Fraction | None = None
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not GateKind:
+            raise ValueError(f"kind must be a GateKind, got {self.kind!r}")
         # bool is a subclass of int, so qubit indices need an exact type check.
         if type(self.target) is not int:
             raise ValueError(f"target must be an integer, got {self.target!r}")
@@ -80,10 +82,10 @@ class Gate:
         if self.kind in PROB_KINDS:
             if self.prob is None:
                 raise ValueError(f"{self.kind.name} requires a probability")
-            if isinstance(self.prob, float):
-                raise TypeError("prob must be an exact rational (Fraction), not float")
-            if isinstance(self.prob, int):
+            if type(self.prob) is int:
                 object.__setattr__(self, "prob", Fraction(self.prob))
+            elif type(self.prob) is not Fraction:
+                raise TypeError(f"prob must be an exact rational (Fraction), got {self.prob!r}")
             if not 0 <= self.prob <= 1:
                 raise ValueError(f"prob {self.prob} outside [0, 1]")
         elif self.prob is not None:
@@ -92,6 +94,9 @@ class Gate:
         if self.kind is GateKind.RY:
             if self.angle is None:
                 raise ValueError("RY requires an angle")
+            # float subclasses (numpy.float64) are numbers; bool is not.
+            if not isinstance(self.angle, (int, float)) or isinstance(self.angle, bool):
+                raise ValueError(f"angle must be a number, got {self.angle!r}")
             try:
                 angle = float(self.angle)
             except OverflowError:
@@ -146,6 +151,8 @@ class Gate:
 
 
 def _check_gate(gate: Gate, n_qubits: int, level: Level, index: int) -> None:
+    if type(gate) is not Gate:
+        raise ValueError(f"gate {index}: expected a Gate, got {gate!r}")
     for q in gate.qubits:
         if q >= n_qubits:
             raise ValueError(f"gate {index}: qubit {q} out of range for {n_qubits} qubits")
@@ -166,6 +173,8 @@ class Circuit:
             raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits {self.n_qubits} must be at least 1")
+        if type(self.level) is not Level:
+            raise ValueError(f"level must be a Level, got {self.level!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for i, gate in enumerate(self.gates):
             _check_gate(gate, self.n_qubits, self.level, i)

@@ -299,8 +299,8 @@ def uniform_distance(state: StateVector, N: int) -> float:
     Compares against the vector with amplitude 1/sqrt(N) on the first N
     basis indices and 0 elsewhere, and returns the largest |difference|.
     """
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    if type(N) is not int or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     amps = state.amps
     if N > amps.size:
         raise ValueError(f"N={N} exceeds the state dimension {amps.size}")

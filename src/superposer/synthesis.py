@@ -51,8 +51,9 @@ def split(N: int) -> tuple[int, int, int, int, int]:
     odd, g is the set-bit count of N (equal to that of M) and m is the bit
     width of M, or 0 when M == 1.
     """
-    if N < 1:
-        raise ValueError(f"N must be a positive integer, got {N}")
+    # bool is a subclass of int, and a float would fail later in & and >>.
+    if type(N) is not int or N < 1:
+        raise ValueError(f"N must be a positive integer, got {N!r}")
     xi = (N & -N).bit_length() - 1
     M = N >> xi
     return max(1, (N - 1).bit_length()), xi, M, M.bit_count(), M.bit_length() if M > 1 else 0

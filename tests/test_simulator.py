@@ -365,3 +365,6 @@ def test_uniform_distance_rejects_bad_n():
         uniform_distance(state, 5)
     with pytest.raises(ValueError):
         uniform_distance(state, 0)
+    for N in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="N must be a positive integer"):
+            uniform_distance(state, N)

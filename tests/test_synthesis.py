@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superposer.analysis import classify, cnot_count, resource_report
 from superposer.ir import Circuit, Gate, GateKind, gate_histogram
 from superposer.simulator import run, uniform_distance
 from superposer.synthesis import plan, split, synthesize
@@ -26,6 +27,14 @@ def test_factor_rejects_nonpositive():
             split(N)
         with pytest.raises(ValueError, match="positive"):
             plan(N)
+
+
+def test_every_n_entry_point_refuses_bools_and_non_ints():
+    # split is the one N check: bool would pass as 1 or 0, a float fail in &.
+    for entry in (split, plan, synthesize, cnot_count, classify, resource_report):
+        for N in (True, False, 2.0, "5", Fraction(4), None):
+            with pytest.raises(ValueError, match="N must be a positive integer"):
+                entry(N)
 
 
 @given(st.integers(min_value=1, max_value=10**9))
