@@ -26,32 +26,39 @@ class Level(Enum):
 
 
 class GateKind(Enum):
-    H = "h"
-    X = "x"
-    Z = "z"
-    RY = "ry"
-    G = "g"
-    CG = "cg"
-    ZERO_CH = "zero_ch"
-    CNOT = "cnot"
-    CZ = "cz"
+    """A gate kind, named by ``value`` ("h", "cnot", ...), and the facts every layer reads.
 
+    ``active_control``: the control bit value that makes the gate act, or None.
+    ``param``: the parameter the gate takes, "angle", "prob" or None.
+    ``lowered``: whether a lowered circuit may hold the gate.
+    ``action``: what the gate does to each pair of amplitudes that differ in
+    the target bit: "flip" negates the one with the bit set, "swap"
+    exchanges the two and "mix" applies a real 2x2 matrix.
+    """
 
-TWO_QUBIT_KINDS = frozenset({GateKind.CG, GateKind.ZERO_CH, GateKind.CNOT, GateKind.CZ})
-PROB_KINDS = frozenset({GateKind.G, GateKind.CG})
-LOWERED_KINDS = frozenset(
-    {GateKind.H, GateKind.X, GateKind.Z, GateKind.RY, GateKind.CNOT, GateKind.CZ}
-)
+    H = ("h", None, None, True, "mix")
+    X = ("x", None, None, True, "swap")
+    Z = ("z", None, None, True, "flip")
+    RY = ("ry", None, "angle", True, "mix")
+    G = ("g", None, "prob", False, "mix")
+    CG = ("cg", 1, "prob", False, "mix")
+    ZERO_CH = ("zero_ch", 0, None, False, "mix")
+    CNOT = ("cnot", 1, None, True, "swap")
+    CZ = ("cz", 1, None, True, "flip")
+
+    def __new__(cls, value, active_control, param, lowered, action):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.active_control = active_control
+        member.param = param
+        member.lowered = lowered
+        member.action = action
+        return member
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A single gate application.
-
-    Field presence depends on the kind: ``control`` for two-qubit kinds,
-    ``angle`` (radians) for RY, ``prob`` (an exact rational in [0, 1]) for
-    G and CG. Everything else must be left unset.
-    """
+    """One gate application. Its kind's facts say which of control, angle and prob it takes."""
 
     kind: GateKind
     target: int
@@ -60,28 +67,29 @@ class Gate:
     prob: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if type(self.kind) is not GateKind:
-            raise ValueError(f"kind must be a GateKind, got {self.kind!r}")
+        kind = self.kind
+        if type(kind) is not GateKind:
+            raise ValueError(f"kind must be a GateKind, got {kind!r}")
         # bool is a subclass of int, so qubit indices need an exact type check.
         if type(self.target) is not int:
             raise ValueError(f"target must be an integer, got {self.target!r}")
         if self.target < 0:
             raise ValueError(f"target {self.target} must be non-negative")
-        if self.kind in TWO_QUBIT_KINDS:
+        if kind.active_control is not None:
             if self.control is None:
-                raise ValueError(f"{self.kind.name} requires a control qubit")
+                raise ValueError(f"{kind.name} requires a control qubit")
             if type(self.control) is not int:
                 raise ValueError(f"control must be an integer, got {self.control!r}")
             if self.control < 0:
                 raise ValueError(f"control {self.control} must be non-negative")
             if self.control == self.target:
-                raise ValueError(f"{self.kind.name} control equals target ({self.target})")
+                raise ValueError(f"{kind.name} control equals target ({self.target})")
         elif self.control is not None:
-            raise ValueError(f"{self.kind.name} does not take a control qubit")
+            raise ValueError(f"{kind.name} does not take a control qubit")
 
-        if self.kind in PROB_KINDS:
+        if kind.param == "prob":
             if self.prob is None:
-                raise ValueError(f"{self.kind.name} requires a probability")
+                raise ValueError(f"{kind.name} requires a probability")
             if type(self.prob) is int:
                 object.__setattr__(self, "prob", Fraction(self.prob))
             elif type(self.prob) is not Fraction:
@@ -89,11 +97,11 @@ class Gate:
             if not 0 <= self.prob <= 1:
                 raise ValueError(f"prob {self.prob} outside [0, 1]")
         elif self.prob is not None:
-            raise ValueError(f"{self.kind.name} does not take a probability")
+            raise ValueError(f"{kind.name} does not take a probability")
 
-        if self.kind is GateKind.RY:
+        if kind.param == "angle":
             if self.angle is None:
-                raise ValueError("RY requires an angle")
+                raise ValueError(f"{kind.name} requires an angle")
             # float subclasses (numpy.float64) are numbers; bool is not.
             if not isinstance(self.angle, (int, float)) or isinstance(self.angle, bool):
                 raise ValueError(f"angle must be a number, got {self.angle!r}")
@@ -105,7 +113,7 @@ class Gate:
                 raise ValueError(f"angle {angle} must be finite")
             object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
-            raise ValueError(f"{self.kind.name} does not take an angle")
+            raise ValueError(f"{kind.name} does not take an angle")
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -156,7 +164,7 @@ def _check_gate(gate: Gate, n_qubits: int, level: Level, index: int) -> None:
     for q in gate.qubits:
         if q >= n_qubits:
             raise ValueError(f"gate {index}: qubit {q} out of range for {n_qubits} qubits")
-    if level is Level.LOWERED and gate.kind not in LOWERED_KINDS:
+    if level is Level.LOWERED and not gate.kind.lowered:
         raise ValueError(f"gate {index}: {gate.kind.name} not allowed in a lowered circuit")
 
 
@@ -175,7 +183,10 @@ class Circuit:
             raise ValueError(f"n_qubits {self.n_qubits} must be at least 1")
         if type(self.level) is not Level:
             raise ValueError(f"level must be a Level, got {self.level!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise ValueError(f"gates must be an iterable of Gates, got {self.gates!r}") from None
         for i, gate in enumerate(self.gates):
             _check_gate(gate, self.n_qubits, self.level, i)
 
@@ -197,7 +208,7 @@ def entangler_count(circuit: Circuit) -> int:
     Every two-qubit gate costs exactly one entangler: CNOT and CZ are one,
     and lowering rewrites each CG and ZERO_CH with exactly one of them.
     """
-    return sum(1 for gate in circuit.gates if gate.kind in TWO_QUBIT_KINDS)
+    return sum(1 for gate in circuit.gates if gate.kind.active_control is not None)
 
 
 def depth(circuit: Circuit) -> int:

@@ -16,9 +16,27 @@ from .ir import Circuit, Gate, GateKind, Level
 _HEADER = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
 
+# The mnemonic <-> kind table. The writer keys it by the kind's value, a
+# string, so no gate pays for hashing an Enum member.
+_KINDS = {"h": GateKind.H, "x": GateKind.X, "z": GateKind.Z, "ry": GateKind.RY,
+          "cx": GateKind.CNOT, "cz": GateKind.CZ}
+_MNEMONICS = {kind.value: word for word, kind in _KINDS.items()}
+
 _QREG_RE = re.compile(r"\s*qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]\s*;\s*$")
 _WORD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.]*)")
 _DECIMAL_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+# What follows a mnemonic, by the shape its kind's facts give it. Each operand
+# is two groups, a register name (checked after the match) and an index.
+_OPERAND = r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]"
+_ANGLE_TARGET_RE = re.compile(rf"\s*\(\s*([^)]*?)\s*\)\s+{_OPERAND}\s*;\s*$")
+_TARGET_RE = re.compile(rf"\s+{_OPERAND}\s*;\s*$")
+_CONTROL_TARGET_RE = re.compile(rf"\s+{_OPERAND}\s*,\s*{_OPERAND}\s*;\s*$")
+# Each preamble line: the test it must pass, and the error if it fails or is missing.
+_PREAMBLE = (
+    (lambda raw: raw.strip() == _HEADER, f"missing {_HEADER!r} header"),
+    (lambda raw: raw.strip() == _INCLUDE, f"expected {_INCLUDE!r}"),
+    (_QREG_RE.match, "expected a qreg declaration"),
+)
 
 
 class QasmParseError(ValueError):
@@ -37,25 +55,19 @@ def emit_qasm(circuit: Circuit) -> str:
     lines = [_HEADER, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
     for gate in circuit.gates:
         kind = gate.kind
-        if kind is GateKind.RY:
-            lines.append(f"ry({gate.angle:.17g}) q[{gate.target}];")
-        elif kind is GateKind.CNOT:
-            lines.append(f"cx q[{gate.control}],q[{gate.target}];")
-        elif kind is GateKind.CZ:
-            lines.append(f"cz q[{gate.control}],q[{gate.target}];")
+        word = _MNEMONICS[kind.value]
+        if kind.param == "angle":
+            lines.append(f"{word}({gate.angle:.17g}) q[{gate.target}];")
+        elif kind.active_control is not None:
+            lines.append(f"{word} q[{gate.control}],q[{gate.target}];")
         else:
-            lines.append(f"{kind.value} q[{gate.target}];")
+            lines.append(f"{word} q[{gate.target}];")
     return "\n".join(lines) + "\n"
 
 
-def _operand_patterns(register: str) -> dict[str, re.Pattern[str]]:
-    name = re.escape(register)
-    qubit = rf"{name}\s*\[\s*([0-9]+)\s*\]"
-    return {
-        "single": re.compile(rf"\s*(h|x|z)\s+{qubit}\s*;\s*$"),
-        "ry": re.compile(rf"\s*ry\s*\(\s*([^)]*?)\s*\)\s+{qubit}\s*;\s*$"),
-        "two": re.compile(rf"\s*(cx|cz)\s+{qubit}\s*,\s*{qubit}\s*;\s*$"),
-    }
+def _word_column(raw: str) -> int:
+    match = _WORD_RE.match(raw)
+    return match.start(1) + 1 if match else 1
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -65,78 +77,55 @@ def parse_qasm(text: str) -> Circuit:
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
         raise QasmParseError(line, column, f"non-ASCII character {text[at]!r}")
     lines = [(i + 1, raw) for i, raw in enumerate(text.split("\n")) if raw.strip()]
-    if not lines:
-        raise QasmParseError(1, 1, f"missing {_HEADER!r} header")
-
-    def word_start(raw: str) -> int:
-        match = _WORD_RE.match(raw)
-        return match.start(1) + 1 if match else 1
-
-    lineno, raw = lines[0]
-    if raw.strip() != _HEADER:
-        raise QasmParseError(lineno, word_start(raw), f"missing {_HEADER!r} header")
-    if len(lines) < 2:
-        raise QasmParseError(lineno + 1, 1, f"expected {_INCLUDE!r}")
-    lineno, raw = lines[1]
-    if raw.strip() != _INCLUDE:
-        raise QasmParseError(lineno, word_start(raw), f"expected {_INCLUDE!r}")
-    if len(lines) < 3:
-        raise QasmParseError(lineno + 1, 1, "expected a qreg declaration")
-    lineno, raw = lines[2]
-    qreg = _QREG_RE.match(raw)
-    if not qreg:
-        raise QasmParseError(lineno, word_start(raw), "expected a qreg declaration")
+    lineno = 0
+    for i, (accept, message) in enumerate(_PREAMBLE):
+        if i == len(lines):
+            raise QasmParseError(lineno + 1, 1, message)
+        lineno, raw = lines[i]
+        qreg = accept(raw)
+        if not qreg:
+            raise QasmParseError(lineno, _word_column(raw), message)
     register = qreg.group(1)
     n_qubits = int(qreg.group(2))
     if n_qubits < 1:
         raise QasmParseError(lineno, qreg.start(2) + 1, "register must hold at least 1 qubit")
 
-    patterns = _operand_patterns(register)
     gates: list[Gate] = []
-
-    def check_qubit(value: str, lineno: int, column: int) -> int:
-        q = int(value)
-        if q >= n_qubits:
-            raise QasmParseError(lineno, column, f"qubit {q} out of range for {register}[{n_qubits}]")
-        return q
-
     for lineno, raw in lines[3:]:
-        column = word_start(raw)
-        word_match = _WORD_RE.match(raw)
-        word = word_match.group(1) if word_match else ""
-        if word in ("h", "x", "z"):
-            match = patterns["single"].match(raw)
-            if not match:
-                raise QasmParseError(lineno, column, f"malformed '{word}' statement")
-            target = check_qubit(match.group(2), lineno, match.start(2) + 1)
-            gates.append(Gate(GateKind(word), target))
-        elif word == "ry":
-            match = patterns["ry"].match(raw)
-            if not match:
-                raise QasmParseError(lineno, column, "malformed 'ry' statement")
-            if not _DECIMAL_RE.fullmatch(match.group(1)):
-                raise QasmParseError(lineno, match.start(1) + 1, f"bad angle {match[1]!r}")
-            angle = float(match.group(1))
-            target = check_qubit(match.group(2), lineno, match.start(2) + 1)
-            try:
-                gates.append(Gate.ry(target, angle))
-            except ValueError as exc:
-                raise QasmParseError(lineno, match.start(1) + 1, str(exc)) from None
-        elif word in ("cx", "cz"):
-            match = patterns["two"].match(raw)
-            if not match:
-                raise QasmParseError(lineno, column, f"malformed '{word}' statement")
-            control = check_qubit(match.group(2), lineno, match.start(2) + 1)
-            target = check_qubit(match.group(3), lineno, match.start(3) + 1)
-            make = Gate.cnot if word == "cx" else Gate.cz
-            try:
-                gates.append(make(control, target))
-            except ValueError as exc:
-                raise QasmParseError(lineno, column, str(exc)) from None
-        elif word == "qreg":
-            raise QasmParseError(lineno, column, "duplicate qreg declaration")
-        elif word:
-            raise QasmParseError(lineno, column, f"gate '{word}' outside the supported subset")
+        word = _WORD_RE.match(raw)
+        if not word:
+            raise QasmParseError(lineno, 1, "expected a gate statement")
+        column = word.start(1) + 1
+        kind = _KINDS.get(word[1])
+        if kind is None:
+            if word[1] == "qreg":
+                raise QasmParseError(lineno, column, "duplicate qreg declaration")
+            raise QasmParseError(lineno, column, f"gate '{word[1]}' outside the supported subset")
+        if kind.param == "angle":
+            shape = _ANGLE_TARGET_RE
+        elif kind.active_control is not None:
+            shape = _CONTROL_TARGET_RE
         else:
-            raise QasmParseError(lineno, column, "expected a gate statement")
+            shape = _TARGET_RE
+        match = shape.match(raw, word.end())
+        # The operands' name groups, after the angle if any.
+        names = range(2 if kind.param == "angle" else 1, shape.groups, 2)
+        if not match or any(match[g] != register for g in names):
+            raise QasmParseError(lineno, column, f"malformed '{word[1]}' statement")
+        angle = None
+        if kind.param == "angle":
+            if not _DECIMAL_RE.fullmatch(match[1]):
+                raise QasmParseError(lineno, match.start(1) + 1, f"bad angle {match[1]!r}")
+            angle = float(match[1])
+            column = match.start(1) + 1  # where Gate's checks of the angle point
+        qubits = [int(match[g + 1]) for g in names]
+        for g, q in zip(names, qubits):
+            if q >= n_qubits:
+                raise QasmParseError(lineno, match.start(g + 1) + 1,
+                                     f"qubit {q} out of range for {register}[{n_qubits}]")
+        control = qubits[0] if len(qubits) == 2 else None
+        try:
+            gates.append(Gate(kind, qubits[-1], control=control, angle=angle))
+        except ValueError as exc:
+            raise QasmParseError(lineno, column, str(exc)) from None
     return Circuit(n_qubits, tuple(gates), Level.LOWERED)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind
+from .ir import Circuit, Gate
 
 QUBIT_CAP = 24
 
@@ -45,7 +45,6 @@ _BLOCK = 1 << 15
 # Chunks beat the blocked rows once the pairs lie 2**11 or fewer
 # amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
 _CHUNK_REACH_BITS = 11
-_MIXING_KINDS = frozenset({GateKind.H, GateKind.RY, GateKind.G, GateKind.CG, GateKind.ZERO_CH})
 
 
 @dataclass
@@ -71,27 +70,27 @@ def init_zero(n_qubits: int) -> StateVector:
 
 
 def _coefficients(gate: Gate) -> tuple[float, float, float, float]:
-    """Entries a, b, c, d of the real target matrix [[a, b], [c, d]]."""
+    """Entries a, b, c, d of the real target matrix [[a, b], [c, d]] of a mixing gate."""
     kind = gate.kind
-    if kind is GateKind.H or kind is GateKind.ZERO_CH:
-        return _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF
-    if kind is GateKind.RY:
+    if kind.action != "mix":
+        raise ValueError(f"no target matrix for {kind.name}")
+    if kind.param == "angle":
         c = math.cos(gate.angle / 2.0)
         s = math.sin(gate.angle / 2.0)
         return c, -s, s, c
-    if kind is GateKind.G or kind is GateKind.CG:
+    if kind.param == "prob":
         p = float(gate.prob)
         sp = math.sqrt(p)
         sq = math.sqrt(1.0 - p)
         return sp, -sq, sq, sp
-    raise ValueError(f"no target matrix for {kind.name}")
+    return _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF
 
 
 def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the amplitudes with the target bit 0 and 1.
 
-    For a controlled gate, only those with the control bit at its active
-    value: 0 for ZERO_CH, 1 for every other kind.
+    For a controlled gate, only those with the control bit at the kind's
+    ``active_control`` value.
     """
     t, c = gate.target, gate.control
     if c is None:
@@ -99,11 +98,10 @@ def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np
         return view[:, 0], view[:, 1]
     lo, hi = min(c, t), max(c, t)
     view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n_qubits - hi - 1))
-    active = 0 if gate.kind is GateKind.ZERO_CH else 1
     if c < t:
-        sub = view[:, active]
+        sub = view[:, gate.kind.active_control]
         return sub[:, :, 0], sub[:, :, 1]
-    sub = view[:, :, :, active]
+    sub = view[:, :, :, gate.kind.active_control]
     return sub[:, 0], sub[:, 1]
 
 
@@ -170,7 +168,6 @@ def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     """
     r = 1 << (n_qubits - gate.target - 1)
     control_run = 0 if gate.control is None else 1 << (n_qubits - gate.control - 1)
-    active = 0 if gate.kind is GateKind.ZERO_CH else 1
     gather = 0 < control_run < _BLOCK
     if gather and control_run < r:
         r //= 2
@@ -187,26 +184,26 @@ def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     for start in range(0, amps.size, _BLOCK):
         chunk = amps[start:start + _BLOCK]
         if gather:
-            runs = _pairs(chunk, control_run)[:, active]
+            runs = _pairs(chunk, control_run)[:, gate.kind.active_control]
             packed_runs[...] = runs
             _mix(packed, r, low, high, swapped)
             runs[...] = packed_runs
-        elif not control_run or start // control_run % 2 == active:
+        elif not control_run or start // control_run % 2 == gate.kind.active_control:
             _mix(chunk, r, low, high, swapped)
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    kind = gate.kind
+    action = gate.kind.action
     wide = amps.size > 2 * _BLOCK
-    if wide and kind in _MIXING_KINDS and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
+    if wide and action == "mix" and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
         _apply_chunked(amps, gate, n_qubits)
         return
     x0, x1 = _halves(amps, gate, n_qubits)
     if wide:
         _apply_blocked(x0, x1, gate)
-    elif kind is GateKind.Z or kind is GateKind.CZ:
+    elif action == "flip":
         x1 *= -1.0
-    elif kind is GateKind.X or kind is GateKind.CNOT:
+    elif action == "swap":
         old0 = x0.copy()
         x0[...] = x1
         x1[...] = old0
@@ -228,10 +225,8 @@ def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
     np.negative(..., order="C") writes wrong values on such a view in
     place (numpy 2.4).
     """
-    kind = gate.kind
-    flip = kind is GateKind.Z or kind is GateKind.CZ
-    swap = kind is GateKind.X or kind is GateKind.CNOT
-    if not (flip or swap):
+    action = gate.kind.action
+    if action == "mix":
         a, b, c, d = _coefficients(gate)
     short = x0.shape[-1] <= 4
     s0, s1 = np.empty(_BLOCK), np.empty(_BLOCK)
@@ -239,11 +234,11 @@ def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
         y0, y1 = x0[cut], x1[cut]
         if short:
             y0, y1 = np.moveaxis(y0, -1, 0), np.moveaxis(y1, -1, 0)
-        if flip:
+        if action == "flip":
             np.multiply(y1, -1.0, out=y1, order="C")
             continue
         t0, t1 = s0.reshape(y0.shape), s1.reshape(y0.shape)
-        if swap:
+        if action == "swap":
             np.copyto(t0, y0)
             np.copyto(y0, y1)
             np.copyto(y1, t0)

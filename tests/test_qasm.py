@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superposer.ir import Level
+from superposer.ir import Circuit, Gate, Level
 from superposer.lowering import lower
 from superposer.qasm import QasmParseError, emit_qasm, parse_qasm
 from superposer.synthesis import synthesize
@@ -44,6 +44,21 @@ def test_round_trip_is_byte_identical():
     for N in (3, 7, 30, 100):
         text = emit_qasm(_lowered(N))
         assert emit_qasm(parse_qasm(text)) == text
+
+
+def test_round_trip_of_every_lowered_kind():
+    # Synthesized circuits hold no X, and their entanglers point one way.
+    circuit = Circuit(3, [
+        Gate.h(0), Gate.x(1), Gate.z(2), Gate.ry(1, -0.75),
+        Gate.cnot(0, 2), Gate.cnot(2, 0), Gate.cz(1, 2), Gate.cz(2, 1), Gate.x(2),
+    ], Level.LOWERED)
+    text = emit_qasm(circuit)
+    assert text.splitlines()[3:] == [
+        "h q[0];", "x q[1];", "z q[2];", "ry(-0.75) q[1];",
+        "cx q[0],q[2];", "cx q[2],q[0];", "cz q[1],q[2];", "cz q[2],q[1];", "x q[2];",
+    ]
+    assert parse_qasm(text) == circuit
+    assert emit_qasm(parse_qasm(text)) == text
 
 
 @settings(deadline=None)

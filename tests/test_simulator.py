@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import superposer
 from superposer import simulator
-from superposer.ir import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from superposer.ir import Circuit, Gate, GateKind
 from superposer.simulator import (
     QUBIT_CAP,
     StateVector,
@@ -223,9 +223,9 @@ def test_run_equals_a_full_width_apply_chain(circuit):
 def _expression_kernel(amps, gate, n_qubits):
     """The whole-array kernel the blocked one must match bit for bit."""
     x0, x1 = simulator._halves(amps, gate, n_qubits)
-    if gate.kind in (GateKind.Z, GateKind.CZ):
+    if gate.kind.action == "flip":
         x1 *= -1.0
-    elif gate.kind in (GateKind.X, GateKind.CNOT):
+    elif gate.kind.action == "swap":
         old0 = x0.copy()
         x0[...] = x1
         x1[...] = old0
@@ -245,15 +245,15 @@ def _every_wide_gate(n):
     """
     for kind in GateKind:
         for t in range(n):
-            if kind not in TWO_QUBIT_KINDS:
+            if kind.active_control is None:
                 controls = [None]
             else:
                 controls = [c for c in (t - 1, t + 1, (t + n // 2) % n) if 0 <= c < n]
             for c in controls:
                 yield Gate(
                     kind, t, control=c,
-                    angle=0.3 + t if kind is GateKind.RY else None,
-                    prob=Fraction(t + 1, 2 * n + 1) if kind in (GateKind.G, GateKind.CG) else None,
+                    angle=0.3 + t if kind.param == "angle" else None,
+                    prob=Fraction(t + 1, 2 * n + 1) if kind.param == "prob" else None,
                 )
 
 
@@ -296,13 +296,13 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
     for n in (17, 18):
         for kind in GateKind:
             places = (
-                [None] if kind not in TWO_QUBIT_KINDS
+                [None] if kind.active_control is None
                 else ["below", "above, inside", "above, beyond a chunk"]
             )
             ran = {(path, place) for m, k, path, place in seen if (m, k) == (n, kind)}
             for place in places:
                 assert ("_apply_blocked", place) in ran, (n, kind, place)
-                if kind in simulator._MIXING_KINDS:
+                if kind.action == "mix":
                     assert ("_apply_chunked", place) in ran, (n, kind, place)
 
 
