@@ -100,6 +100,11 @@ def test_gate_prob_must_be_an_int_or_a_fraction():
 def test_lowered_circuit_rejects_abstract_gate():
     with pytest.raises(ValueError, match="not allowed"):
         Circuit(2, (Gate.zero_ch(0, 1),), Level.LOWERED)
+
+
+def test_lowered_builder_rejects_abstract_kinds():
+    with pytest.raises(ValueError, match="not allowed"):
+        Circuit(2, (Gate.zero_ch(0, 1),), Level.LOWERED)
     with pytest.raises(ValueError, match="not allowed"):
         Circuit(2, (Gate.g(0, Fraction(1, 2)),), Level.LOWERED)
 
