@@ -145,8 +145,9 @@ def scan_rows(n_max: int) -> Iterator[ScanRow]:
 
 
 def _widths(n_max: int) -> range:
-    if not MIN_SCAN_N_MAX <= n_max <= MAX_SCAN_N_MAX:
-        raise ValueError(f"n_max must be within {MIN_SCAN_N_MAX}..{MAX_SCAN_N_MAX}, got {n_max}")
+    # bool is a subclass of int, and a float or str would fail later in range().
+    if type(n_max) is not int or not MIN_SCAN_N_MAX <= n_max <= MAX_SCAN_N_MAX:
+        raise ValueError(f"n_max must be within {MIN_SCAN_N_MAX}..{MAX_SCAN_N_MAX}, got {n_max!r}")
     return range(2, n_max + 1)
 
 

@@ -89,16 +89,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pl = synthesis.plan(args.N)
-    if pl.n > simulator.QUBIT_CAP:
-        raise ValueError(
-            f"N={args.N} needs {pl.n} qubits, above the {simulator.QUBIT_CAP}-qubit cap"
-        )
+    n = synthesis.split(args.N)[0]
+    if n > simulator.QUBIT_CAP:
+        raise ValueError(f"N={args.N} needs {n} qubits, above the {simulator.QUBIT_CAP}-qubit cap")
     abstract = synthesis.synthesize(args.N)
     lowered, _ = lowering.lower(abstract)
     abstract_distance = simulator.uniform_distance(simulator.run(abstract), args.N)
     lowered_distance = simulator.uniform_distance(simulator.run(lowered), args.N)
-    print(f"N={args.N} n={pl.n} entanglers={entangler_count(lowered)}")
+    print(f"N={args.N} n={n} entanglers={entangler_count(lowered)}")
     print(f"abstract max deviation: {abstract_distance:.3e}")
     print(f"lowered max deviation:  {lowered_distance:.3e}")
     passed = abstract_distance <= args.tolerance and lowered_distance <= args.tolerance

@@ -97,10 +97,12 @@ class AddressMap:
 
     def resolve(self, address: str) -> int:
         """Record ordinal stored at the given address string."""
+        if not isinstance(address, str):
+            raise ValueError(f"address {address!r} not in the index set")
         if len(address) != self.n:
             raise ValueError(f"address {address!r} has width {len(address)}, expected {self.n}")
         # int(s, 2) alone would also take signs, spaces, underscores, "0b" and non-ASCII digits.
-        if isinstance(address, str) and address.isascii() and address.isdigit():
+        if address.isascii() and address.isdigit():
             try:
                 return self.ordinals[int(address, 2)]
             except (ValueError, IndexError):  # a digit 2..9, or a value of N or more
@@ -109,10 +111,10 @@ class AddressMap:
 
     def invert(self, ordinal: int) -> str:
         """Address string holding the given record ordinal, found by one scan of the ordinals."""
-        try:
-            return format(self.ordinals.index(ordinal), f"0{self.n}b")
-        except ValueError:
-            raise ValueError(f"record ordinal {ordinal!r} not in the mapping") from None
+        # The ordinals are the ints 0..N-1; True or 1.0 would compare equal to 1.
+        if type(ordinal) is not int or not 0 <= ordinal < self.size:
+            raise ValueError(f"record ordinal {ordinal!r} not in the mapping")
+        return format(self.ordinals.index(ordinal), f"0{self.n}b")
 
 
 def build_mapping(dataset: Dataset, seed: int) -> AddressMap:

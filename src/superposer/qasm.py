@@ -5,6 +5,8 @@ ry(theta), cx, cz. Angles are printed with 17 significant digits, which
 is enough for the printed text to reproduce the double exactly, so
 emit -> parse -> emit is byte-identical. The parser accepts the same
 subset in ASCII and reports errors with 1-based line and column positions.
+Every statement line is matched against one grammar: a word, an optional
+"(angle)" and one or two operands of the declared register.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ _MNEMONICS = {kind.value: word for word, kind in _KINDS.items()}
 _QREG_RE = re.compile(r"\s*qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]\s*;\s*$")
 _WORD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.]*)")
 _DECIMAL_RE = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
-# What follows a mnemonic, by the shape its kind's facts give it. Each operand
-# is two groups, a register name (checked after the match) and an index.
-_OPERAND = r"([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]"
-_ANGLE_TARGET_RE = re.compile(rf"\s*\(\s*([^)]*?)\s*\)\s+{_OPERAND}\s*;\s*$")
-_TARGET_RE = re.compile(rf"\s+{_OPERAND}\s*;\s*$")
-_CONTROL_TARGET_RE = re.compile(rf"\s+{_OPERAND}\s*,\s*{_OPERAND}\s*;\s*$")
 # Each preamble line: the test it must pass, and the error if it fails or is missing.
 _PREAMBLE = (
     (lambda raw: raw.strip() == _HEADER, f"missing {_HEADER!r} header"),
@@ -65,9 +61,22 @@ def emit_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _word_column(raw: str) -> int:
+def _first_word(raw: str) -> tuple[str, int]:
+    """A line's first word and its 1-based column, or ("", 1) if it has none."""
     match = _WORD_RE.match(raw)
-    return match.start(1) + 1 if match else 1
+    return (match[1], match.start(1) + 1) if match else ("", 1)
+
+
+def _statement_error(lineno: int, raw: str) -> QasmParseError:
+    """The error for a statement line that fails the grammar or its kind's facts."""
+    word, column = _first_word(raw)
+    if not word:
+        return QasmParseError(lineno, 1, "expected a gate statement")
+    if word == "qreg":
+        return QasmParseError(lineno, column, "duplicate qreg declaration")
+    if word not in _KINDS:
+        return QasmParseError(lineno, column, f"gate '{word}' outside the supported subset")
+    return QasmParseError(lineno, column, f"malformed '{word}' statement")
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -84,48 +93,38 @@ def parse_qasm(text: str) -> Circuit:
         lineno, raw = lines[i]
         qreg = accept(raw)
         if not qreg:
-            raise QasmParseError(lineno, _word_column(raw), message)
+            raise QasmParseError(lineno, _first_word(raw)[1], message)
     register = qreg.group(1)
     n_qubits = int(qreg.group(2))
     if n_qubits < 1:
         raise QasmParseError(lineno, qreg.start(2) + 1, "register must hold at least 1 qubit")
 
+    # Groups: 1 word, 2 angle, 3 and 4 the indices. A register name is an identifier.
+    operand = rf"{register}\s*\[\s*([0-9]+)\s*\]"
+    statement = re.compile(rf"{_WORD_RE.pattern}(?:\s*\(\s*([^)]*?)\s*\))?\s+{operand}"
+                           rf"(?:\s*,\s*{operand})?\s*;\s*$")
     gates: list[Gate] = []
     for lineno, raw in lines[3:]:
-        word = _WORD_RE.match(raw)
-        if not word:
-            raise QasmParseError(lineno, 1, "expected a gate statement")
-        column = word.start(1) + 1
-        kind = _KINDS.get(word[1])
-        if kind is None:
-            if word[1] == "qreg":
-                raise QasmParseError(lineno, column, "duplicate qreg declaration")
-            raise QasmParseError(lineno, column, f"gate '{word[1]}' outside the supported subset")
-        if kind.param == "angle":
-            shape = _ANGLE_TARGET_RE
-        elif kind.active_control is not None:
-            shape = _CONTROL_TARGET_RE
-        else:
-            shape = _TARGET_RE
-        match = shape.match(raw, word.end())
-        # The operands' name groups, after the angle if any.
-        names = range(2 if kind.param == "angle" else 1, shape.groups, 2)
-        if not match or any(match[g] != register for g in names):
-            raise QasmParseError(lineno, column, f"malformed '{word[1]}' statement")
+        match = statement.match(raw)
+        kind = _KINDS.get(match[1]) if match else None
+        if (kind is None or (match[2] is not None) != (kind.param == "angle")
+                or (match[4] is not None) != (kind.active_control is not None)):
+            raise _statement_error(lineno, raw)
         angle = None
-        if kind.param == "angle":
-            if not _DECIMAL_RE.fullmatch(match[1]):
-                raise QasmParseError(lineno, match.start(1) + 1, f"bad angle {match[1]!r}")
-            angle = float(match[1])
-            column = match.start(1) + 1  # where Gate's checks of the angle point
-        qubits = [int(match[g + 1]) for g in names]
-        for g, q in zip(names, qubits):
+        if match[2] is not None:
+            if not _DECIMAL_RE.fullmatch(match[2]):
+                raise QasmParseError(lineno, match.start(2) + 1, f"bad angle {match[2]!r}")
+            angle = float(match[2])
+        qubits = [int(match[g]) for g in (3, 4) if match[g] is not None]
+        for g, q in zip((3, 4), qubits):
             if q >= n_qubits:
-                raise QasmParseError(lineno, match.start(g + 1) + 1,
+                raise QasmParseError(lineno, match.start(g) + 1,
                                      f"qubit {q} out of range for {register}[{n_qubits}]")
         control = qubits[0] if len(qubits) == 2 else None
         try:
             gates.append(Gate(kind, qubits[-1], control=control, angle=angle))
         except ValueError as exc:
-            raise QasmParseError(lineno, column, str(exc)) from None
+            # Gate's checks of an angle point at the angle, its other checks at the word.
+            at = 1 if angle is None else 2
+            raise QasmParseError(lineno, match.start(at) + 1, str(exc)) from None
     return Circuit(n_qubits, tuple(gates), Level.LOWERED)

@@ -114,6 +114,14 @@ def test_scan_rejects_out_of_range_width():
             scan(n_max)
 
 
+@pytest.mark.parametrize("n_max", [5.0, "5", True, None])
+def test_scan_refuses_widths_that_are_not_ints(n_max):
+    with pytest.raises(ValueError, match=r"n_max must be within 2\.\.20"):
+        scan(n_max)
+    with pytest.raises(ValueError, match=r"n_max must be within 2\.\.20"):
+        list(scan_rows(n_max))
+
+
 def test_scan_equals_summarized_rows():
     for n in range(2, 17):
         assert scan(n) == summarize(scan_rows(n))

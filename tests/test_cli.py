@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from superposer import analysis
+from superposer import analysis, simulator, synthesis
 from superposer.cli import main
 from superposer.qasm import parse_qasm
 
@@ -63,6 +63,16 @@ def test_verify_fails_under_impossible_tolerance(capsys):
 def test_verify_rejects_widths_above_the_cap(capsys):
     assert main(["verify", str(2**24 + 1)]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_wide_n_without_planning_it(monkeypatch, capsys):
+    def no_plan(N):
+        raise AssertionError("the cap check must not build the plan")
+
+    monkeypatch.setattr(synthesis, "plan", no_plan)
+    assert main(["verify", str(2**24 + 1)]) == 1
+    message = f"N={2**24 + 1} needs 25 qubits, above the {simulator.QUBIT_CAP}-qubit cap"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_scan_summary_to_stdout(capsys):

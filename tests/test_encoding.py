@@ -61,6 +61,13 @@ def test_resolve_rejects_unknown_address():
         mapping.resolve("0000")
 
 
+def test_resolve_refuses_addresses_that_are_not_strings():
+    mapping = build_mapping(_dataset(7), seed=42)
+    for address in (5, None, 1.0, b"011"):
+        with pytest.raises(ValueError, match="not in the index set"):
+            mapping.resolve(address)
+
+
 def _replace_char(text, index, char):
     index %= len(text)
     return text[:index] + char + text[index + 1:]
@@ -85,7 +92,7 @@ def test_resolve_and_invert_agree_with_dicts_of_the_pairs(size, seed, data):
         with pytest.raises(ValueError):
             mapping.resolve(address)
     for ordinal in (*range(-1, size + 1), True, False, 1.0, 0.5):
-        if ordinal in backward:
+        if type(ordinal) is int and ordinal in backward:
             assert mapping.invert(ordinal) == backward[ordinal]
         else:
             with pytest.raises(ValueError, match="not in the mapping"):
@@ -96,6 +103,14 @@ def test_invert_rejects_unknown_ordinal():
     mapping = build_mapping(_dataset(7), seed=42)
     with pytest.raises(ValueError):
         mapping.invert(7)
+
+
+def test_invert_refuses_ordinals_that_are_not_ints():
+    mapping = AddressMap(n=2, seed=0, ordinals=(1, 2, 0))
+    assert mapping.invert(1) == "00"
+    for ordinal in (True, False, 1.0, "1", None):
+        with pytest.raises(ValueError, match="not in the mapping"):
+            mapping.invert(ordinal)
 
 
 def test_serialize_round_trip():

@@ -202,6 +202,38 @@ def test_cx_with_equal_operands_rejected():
     )
 
 
+# The shapes that the reader's grammar must tell apart, each as the only statement.
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("ry (0.5) q[0];", Gate.ry(0, 0.5)),
+        ("  cz q[1] ,q[0] ;", Gate.cz(1, 0)),
+        ("x  q [ 1 ] ;", Gate.x(1)),
+        ("ry(0.5)q[0];", (1, "malformed 'ry' statement")),
+        ("h(0.5) q[0];", (1, "malformed 'h' statement")),
+        ("h q[0],q[1];", (1, "malformed 'h' statement")),
+        ("h q[0]", (1, "malformed 'h' statement")),
+        ("cx q[0];", (1, "malformed 'cx' statement")),
+        ("cx(0.5) q[0],q[1];", (1, "malformed 'cx' statement")),
+        ("cx q[0],r[1];", (1, "malformed 'cx' statement")),
+        ("hq[0];", (1, "gate 'hq' outside the supported subset")),
+        ("ry() q[0];", (4, "bad angle ''")),
+        ("cx q[0],q[007];", (11, "qubit 7 out of range for q[2]")),
+        ("h q[02];", (5, "qubit 2 out of range for q[2]")),
+    ],
+)
+def test_statement_shapes(statement, expected):
+    text = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n{statement}\n'
+    if isinstance(expected, Gate):
+        assert parse_qasm(text).gates == (expected,)
+        return
+    with pytest.raises(QasmParseError) as info:
+        parse_qasm(text)
+    column, message = expected
+    assert (info.value.line, info.value.column) == (4, column)
+    assert str(info.value) == f"line 4, column {column}: {message}"
+
+
 def test_wrong_register_name_rejected():
     _expect_error(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh r[0];\n',
