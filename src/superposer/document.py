@@ -18,37 +18,40 @@ DOCUMENT_VERSION = 1
 
 
 def emit_document(circuit: Circuit) -> str:
-    """Render any circuit as a JSON document."""
-    gates = []
+    """Render any circuit as a JSON document: the bytes of ``json.dumps(doc, indent=2)``.
+
+    Written directly: every value is an exact int, a plain string or a
+    finite float, whose ``repr`` is what ``json.dumps`` writes for it.
+    """
+    entries = []
     for gate in circuit.gates:
-        entry: dict[str, object] = {"kind": gate.kind.value, "target": gate.target}
+        entry = f'    {{\n      "kind": "{gate.kind.value}",\n      "target": {gate.target}'
         if gate.control is not None:
-            entry["control"] = gate.control
+            entry += f',\n      "control": {gate.control}'
         if gate.prob is not None:
-            entry["prob"] = [gate.prob.numerator, gate.prob.denominator]
+            entry += (f',\n      "prob": [\n        {gate.prob.numerator},'
+                      f'\n        {gate.prob.denominator}\n      ]')
         if gate.angle is not None:
-            entry["angle"] = gate.angle
-        gates.append(entry)
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "n_qubits": circuit.n_qubits,
-        "level": circuit.level.value,
-        "gates": gates,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+            entry += f',\n      "angle": {gate.angle!r}'
+        entries.append(entry + "\n    }")
+    gates = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return (f'{{\n  "version": {DOCUMENT_VERSION},\n  "n_qubits": {circuit.n_qubits},\n'
+            f'  "level": "{circuit.level.value}",\n  "gates": {gates}\n}}\n')
+
+
+_FIELDS = frozenset({"kind", "target", "control", "prob", "angle"})
+_KINDS = {kind.value: kind for kind in GateKind}
 
 
 def _gate_from_entry(entry: object, index: int) -> Gate:
     if not isinstance(entry, dict):
         raise ValueError(f"gate {index}: expected an object, got {entry!r}")
-    known = {"kind", "target", "control", "prob", "angle"}
-    extra = set(entry) - known
-    if extra:
-        raise ValueError(f"gate {index}: unknown fields {sorted(extra)}")
-    try:
-        kind = GateKind(entry.get("kind"))
-    except ValueError:
-        raise ValueError(f"gate {index}: unknown kind {entry.get('kind')!r}") from None
+    if not entry.keys() <= _FIELDS:
+        raise ValueError(f"gate {index}: unknown fields {sorted(entry.keys() - _FIELDS)}")
+    kind = entry.get("kind")
+    kind = _KINDS.get(kind) if type(kind) is str else None
+    if kind is None:
+        raise ValueError(f"gate {index}: unknown kind {entry.get('kind')!r}")
     # json.loads gives true/false as bool, a subclass of int: exact type
     # checks here, and in Gate for the qubit indices and the angle.
     prob = entry.get("prob")
@@ -68,12 +71,13 @@ def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) ->
     """Parse a JSON object whose top level holds exactly ``version`` and ``keys``.
 
     Anything else raises ValueError: text that is not a JSON object (nesting
-    too deep included), a version other than the int ``version``, or a
-    missing or unknown key. The values under ``keys`` are left to the caller.
+    too deep and ints past Python's digit limit included), a version other
+    than the int ``version``, or a missing or unknown key. The values under
+    ``keys`` are left to the caller.
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed {name} document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {name} document: expected a JSON object")

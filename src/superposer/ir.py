@@ -56,9 +56,14 @@ class GateKind(Enum):
         return member
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
-    """One gate application. Its kind's facts say which of control, angle and prob it takes."""
+    """One gate application. Its kind's facts say which of control, angle and prob it takes.
+
+    A Gate is built only through its own ``__init__``, which checks every
+    argument and writes each field once; keyword calls, the builders below
+    and ``dataclasses.replace`` all go through it.
+    """
 
     kind: GateKind
     target: int
@@ -66,54 +71,63 @@ class Gate:
     angle: float | None = None
     prob: Fraction | None = None
 
-    def __post_init__(self) -> None:
-        kind = self.kind
+    def __init__(self, kind: GateKind, target: int, control: int | None = None,
+                 angle: float | None = None, prob: Fraction | None = None) -> None:
         if type(kind) is not GateKind:
             raise ValueError(f"kind must be a GateKind, got {kind!r}")
         # bool is a subclass of int, so qubit indices need an exact type check.
-        if type(self.target) is not int:
-            raise ValueError(f"target must be an integer, got {self.target!r}")
-        if self.target < 0:
-            raise ValueError(f"target {self.target} must be non-negative")
+        if type(target) is not int:
+            raise ValueError(f"target must be an integer, got {target!r}")
+        if target < 0:
+            raise ValueError(f"target {target} must be non-negative")
         if kind.active_control is not None:
-            if self.control is None:
+            if control is None:
                 raise ValueError(f"{kind.name} requires a control qubit")
-            if type(self.control) is not int:
-                raise ValueError(f"control must be an integer, got {self.control!r}")
-            if self.control < 0:
-                raise ValueError(f"control {self.control} must be non-negative")
-            if self.control == self.target:
-                raise ValueError(f"{kind.name} control equals target ({self.target})")
-        elif self.control is not None:
+            if type(control) is not int:
+                raise ValueError(f"control must be an integer, got {control!r}")
+            if control < 0:
+                raise ValueError(f"control {control} must be non-negative")
+            if control == target:
+                raise ValueError(f"{kind.name} control equals target ({target})")
+        elif control is not None:
             raise ValueError(f"{kind.name} does not take a control qubit")
 
-        if kind.param == "prob":
-            if self.prob is None:
+        param = kind.param
+        if param == "prob":
+            if prob is None:
                 raise ValueError(f"{kind.name} requires a probability")
-            if type(self.prob) is int:
-                object.__setattr__(self, "prob", Fraction(self.prob))
-            elif type(self.prob) is not Fraction:
-                raise TypeError(f"prob must be an exact rational (Fraction), got {self.prob!r}")
-            if not 0 <= self.prob <= 1:
-                raise ValueError(f"prob {self.prob} outside [0, 1]")
-        elif self.prob is not None:
+            if type(prob) is int:
+                prob = Fraction(prob)
+            elif type(prob) is not Fraction:
+                raise TypeError(f"prob must be an exact rational (Fraction), got {prob!r}")
+            # A Fraction's denominator is positive: this is 0 <= prob <= 1 without
+            # Fraction's comparison, which costs a few us on wide numerators.
+            if not 0 <= prob.numerator <= prob.denominator:
+                raise ValueError(f"prob {prob} outside [0, 1]")
+        elif prob is not None:
             raise ValueError(f"{kind.name} does not take a probability")
 
-        if kind.param == "angle":
-            if self.angle is None:
+        if param == "angle":
+            if angle is None:
                 raise ValueError(f"{kind.name} requires an angle")
-            # float subclasses (numpy.float64) are numbers; bool is not.
-            if not isinstance(self.angle, (int, float)) or isinstance(self.angle, bool):
-                raise ValueError(f"angle must be a number, got {self.angle!r}")
-            try:
-                angle = float(self.angle)
-            except OverflowError:
-                angle = math.inf
+            if type(angle) is not float:
+                # float subclasses (numpy.float64) are numbers; bool is not.
+                if not isinstance(angle, (int, float)) or isinstance(angle, bool):
+                    raise ValueError(f"angle must be a number, got {angle!r}")
+                try:
+                    angle = float(angle)
+                except OverflowError:
+                    angle = math.inf
             if not math.isfinite(angle):
                 raise ValueError(f"angle {angle} must be finite")
-            object.__setattr__(self, "angle", angle)
-        elif self.angle is not None:
+        elif angle is not None:
             raise ValueError(f"{kind.name} does not take an angle")
+
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_control(self, control)
+        _set_angle(self, angle)
+        _set_prob(self, prob)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -158,7 +172,14 @@ class Gate:
         return Gate(GateKind.CZ, target, control=control)
 
 
+# The slots' own setters. The frozen class's __setattr__ refuses every write,
+# so Gate.__init__ writes each field once through these.
+_set_kind, _set_target, _set_control, _set_angle, _set_prob = (
+    getattr(Gate, name).__set__ for name in ("kind", "target", "control", "angle", "prob"))
+
+
 def _check_gate(gate: Gate, n_qubits: int, level: Level, index: int) -> None:
+    """Raise the error for a gate that ``Circuit``'s inline test refused."""
     if type(gate) is not Gate:
         raise ValueError(f"gate {index}: expected a Gate, got {gate!r}")
     for q in gate.qubits:
@@ -187,8 +208,13 @@ class Circuit:
             object.__setattr__(self, "gates", tuple(self.gates))
         except TypeError:
             raise ValueError(f"gates must be an iterable of Gates, got {self.gates!r}") from None
+        # Gate makes its indices non-negative ints, so this is all _check_gate tests.
+        n, lowered = self.n_qubits, self.level is Level.LOWERED
         for i, gate in enumerate(self.gates):
-            _check_gate(gate, self.n_qubits, self.level, i)
+            if (type(gate) is not Gate or gate.target >= n
+                    or (gate.control is not None and gate.control >= n)
+                    or (lowered and not gate.kind.lowered)):
+                _check_gate(gate, n, self.level, i)
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -215,7 +241,10 @@ def depth(circuit: Circuit) -> int:
     """Circuit depth under greedy as-early-as-possible layering."""
     frontier = [0] * circuit.n_qubits
     for gate in circuit.gates:
-        layer = 1 + max(frontier[q] for q in gate.qubits)
-        for q in gate.qubits:
-            frontier[q] = layer
-    return max(frontier, default=0)
+        target, control = gate.target, gate.control
+        if control is None:
+            frontier[target] += 1
+        else:
+            layer = max(frontier[target], frontier[control]) + 1
+            frontier[target] = frontier[control] = layer
+    return max(frontier)

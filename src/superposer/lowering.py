@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ir import Circuit, Gate, GateKind, Level, entangler_count
+from .ir import Circuit, Gate, Level, entangler_count
 
 
 @dataclass(frozen=True)
@@ -78,20 +78,25 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
     gates: list[Gate] = []
     touched: set[int] = set()
     for i, gate in enumerate(circuit.gates):
-        if gate.kind is GateKind.G:
-            gates += lower_g(gate.prob, gate.target)
-        elif gate.kind is GateKind.CG:
-            if gate.target in touched:
+        kind, target, control = gate.kind, gate.target, gate.control
+        # The kind's facts pick the rewrite: G and CG take a prob, CG and
+        # ZERO_CH a control, and every other kind is already lowered.
+        if kind.lowered:
+            gates.append(gate)
+        elif kind.param != "prob":
+            gates += lower_zero_ch(control, target)
+        elif control is None:
+            gates += lower_g(gate.prob, target)
+        else:
+            if target in touched:
                 raise ValueError(
-                    f"gate {i}: CG target {gate.target} was touched by an earlier gate, "
+                    f"gate {i}: CG target {target} was touched by an earlier gate, "
                     "but its one-CNOT rewrite needs the target in |0>"
                 )
-            gates += lower_cg(gate.prob, gate.control, gate.target)
-        elif gate.kind is GateKind.ZERO_CH:
-            gates += lower_zero_ch(gate.control, gate.target)
-        else:
-            gates.append(gate)
-        touched.update(gate.qubits)
+            gates += lower_cg(gate.prob, control, target)
+        touched.add(target)
+        if control is not None:
+            touched.add(control)
     lowered = Circuit(circuit.n_qubits, tuple(gates), Level.LOWERED)
     entanglers = entangler_count(lowered)
     report = LoweringReport(

@@ -79,6 +79,24 @@ def _statement_error(lineno: int, raw: str) -> QasmParseError:
     return QasmParseError(lineno, column, f"malformed '{word}' statement")
 
 
+def _operand_error(lineno: int, match: re.Match, register: str, n_qubits: int) -> QasmParseError:
+    """The error for the first index of a statement that is past the register or too long.
+
+    Called only when one of them is, so the loop always returns: group 4, the
+    second index, is reached only when group 3 passed and the statement has one.
+    """
+    for g in (3, 4):
+        digits = match[g]
+        try:
+            q = int(digits)
+        except ValueError:  # more digits than Python converts to an int
+            return QasmParseError(lineno, match.start(g) + 1, f"qubit index of {len(digits)} "
+                                  f"digits out of range for {register}[{n_qubits}]")
+        if q >= n_qubits:
+            return QasmParseError(lineno, match.start(g) + 1,
+                                  f"qubit {q} out of range for {register}[{n_qubits}]")
+
+
 def parse_qasm(text: str) -> Circuit:
     """Parse subset QASM into a lowered circuit."""
     if not text.isascii():
@@ -94,8 +112,12 @@ def parse_qasm(text: str) -> Circuit:
         qreg = accept(raw)
         if not qreg:
             raise QasmParseError(lineno, _first_word(raw)[1], message)
-    register = qreg.group(1)
-    n_qubits = int(qreg.group(2))
+    register, width = qreg.groups()
+    try:
+        n_qubits = int(width)
+    except ValueError:  # more digits than Python converts to an int
+        raise QasmParseError(lineno, qreg.start(2) + 1,
+                             f"register width of {len(width)} digits too large") from None
     if n_qubits < 1:
         raise QasmParseError(lineno, qreg.start(2) + 1, "register must hold at least 1 qubit")
 
@@ -106,23 +128,29 @@ def parse_qasm(text: str) -> Circuit:
     gates: list[Gate] = []
     for lineno, raw in lines[3:]:
         match = statement.match(raw)
-        kind = _KINDS.get(match[1]) if match else None
-        if (kind is None or (match[2] is not None) != (kind.param == "angle")
-                or (match[4] is not None) != (kind.active_control is not None)):
+        if match is None:
+            raise _statement_error(lineno, raw)
+        word, angle_text, first, second = match.groups()
+        kind = _KINDS.get(word)
+        if (kind is None or (angle_text is not None) != (kind.param == "angle")
+                or (second is not None) != (kind.active_control is not None)):
             raise _statement_error(lineno, raw)
         angle = None
-        if match[2] is not None:
-            if not _DECIMAL_RE.fullmatch(match[2]):
-                raise QasmParseError(lineno, match.start(2) + 1, f"bad angle {match[2]!r}")
-            angle = float(match[2])
-        qubits = [int(match[g]) for g in (3, 4) if match[g] is not None]
-        for g, q in zip((3, 4), qubits):
-            if q >= n_qubits:
-                raise QasmParseError(lineno, match.start(g) + 1,
-                                     f"qubit {q} out of range for {register}[{n_qubits}]")
-        control = qubits[0] if len(qubits) == 2 else None
+        if angle_text is not None:
+            if not _DECIMAL_RE.fullmatch(angle_text):
+                raise QasmParseError(lineno, match.start(2) + 1, f"bad angle {angle_text!r}")
+            angle = float(angle_text)
         try:
-            gates.append(Gate(kind, qubits[-1], control=control, angle=angle))
+            if second is None:
+                control, target = None, int(first)
+            else:
+                control, target = int(first), int(second)
+        except ValueError:  # more digits than Python converts to an int
+            raise _operand_error(lineno, match, register, n_qubits) from None
+        if target >= n_qubits or (control is not None and control >= n_qubits):
+            raise _operand_error(lineno, match, register, n_qubits)
+        try:
+            gates.append(Gate(kind, target, control, angle))
         except ValueError as exc:
             # Gate's checks of an angle point at the angle, its other checks at the word.
             at = 1 if angle is None else 2

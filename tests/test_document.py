@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superposer.document import emit_document, parse_document
-from superposer.ir import Level
+from superposer.ir import Circuit, Gate, Level
 from superposer.lowering import lower
 from superposer.synthesis import synthesize
 
@@ -147,3 +149,57 @@ def test_parse_rejects_booleans_as_numbers():
         bad["gates"][index][field] = value
         with pytest.raises(ValueError, match=f"gate {index}: {message}"):
             parse_document(json.dumps(bad))
+
+
+def test_parse_rejects_a_number_past_the_int_digit_limit():
+    text = '{"version": 1, "n_qubits": ' + "1" * 5000 + ', "level": "abstract", "gates": []}'
+    with pytest.raises(ValueError, match="malformed circuit document: Exceeds the limit"):
+        parse_document(text)
+
+
+def _reference_document(circuit):
+    """The document as json.dumps writes it, which emit_document must match byte for byte."""
+    gates = []
+    for gate in circuit.gates:
+        entry = {"kind": gate.kind.value, "target": gate.target}
+        if gate.control is not None:
+            entry["control"] = gate.control
+        if gate.prob is not None:
+            entry["prob"] = [gate.prob.numerator, gate.prob.denominator]
+        if gate.angle is not None:
+            entry["angle"] = gate.angle
+        gates.append(entry)
+    doc = {"version": 1, "n_qubits": circuit.n_qubits, "level": circuit.level.value,
+           "gates": gates}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_equals_the_json_dumps_reference_over_a_range():
+    for N in range(1, 301):
+        abstract = synthesize(N)
+        lowered, _ = lower(abstract)
+        for circuit in (abstract, lowered):
+            assert emit_document(circuit) == _reference_document(circuit), (N, circuit.level)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2**20, 2**700))
+def test_emit_equals_the_json_dumps_reference_on_wide_n(N):
+    abstract = synthesize(N)
+    lowered, _ = lower(abstract)
+    assert emit_document(abstract) == _reference_document(abstract)
+    assert emit_document(lowered) == _reference_document(lowered)
+
+
+def test_emit_equals_the_json_dumps_reference_on_edge_values():
+    angles = [Gate.ry(0, angle) for angle in (-0.0, 5e-324, 1e300, -1e300, 3, 0.1)]
+    kinds = [Gate.h(1), Gate.x(2), Gate.z(0), Gate.cnot(2, 0), Gate.cz(0, 1)]
+    probs = [Gate.g(0, Fraction(0)), Gate.g(1, Fraction(1)), Gate.cg(2, 0, Fraction(1)),
+             Gate.cg(1, 2, Fraction(0)), Gate.zero_ch(0, 2)]
+    circuits = [Circuit(3, angles + kinds, Level.LOWERED), Circuit(3, angles + kinds + probs),
+                Circuit(1, ()), Circuit(1, (), Level.LOWERED)]
+    for circuit in circuits:
+        text = emit_document(circuit)
+        assert text == _reference_document(circuit)
+        assert parse_document(text) == circuit
+    assert '"gates": []' in emit_document(Circuit(1, ()))

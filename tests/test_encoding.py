@@ -242,6 +242,12 @@ def test_address_map_rejects_a_non_int_width_or_seed(field, value):
         AddressMap(ordinals=(0, 1), **fields)
 
 
+def test_deserialize_rejects_a_number_past_the_int_digit_limit():
+    text = '{"version": 1, "N": ' + "1" * 5000 + ', "n": 1, "seed": 0, "pairs": []}'
+    with pytest.raises(ValueError, match="malformed mapping document: Exceeds the limit"):
+        deserialize(text)
+
+
 @pytest.mark.parametrize("field", ["n", "seed"])
 def test_deserialize_rejects_a_bool_width_or_seed(field):
     doc = {"version": 1, "N": 2, "n": 1, "seed": 0, "pairs": [["0", 1], ["1", 0]]}

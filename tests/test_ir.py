@@ -1,8 +1,13 @@
+import copy
 import dataclasses
+import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superposer.ir import (
     Circuit,
@@ -212,3 +217,117 @@ def test_depth():
     assert depth(Circuit(3, ())) == 0
     assert depth(Circuit(3, (Gate.h(0), Gate.h(1), Gate.h(2)))) == 1
     assert depth(Circuit(2, (Gate.h(0), Gate.cnot(0, 1), Gate.h(1)))) == 3
+
+
+def _reference_depth(circuit):
+    """Greedy layering as a generator over each gate's qubits: the formula ``depth`` must match."""
+    frontier = [0] * circuit.n_qubits
+    for gate in circuit.gates:
+        layer = 1 + max(frontier[q] for q in gate.qubits)
+        for q in gate.qubits:
+            frontier[q] = layer
+    return max(frontier, default=0)
+
+
+@st.composite
+def _circuits(draw):
+    level = draw(st.sampled_from(Level))
+    n = draw(st.integers(1, 8))
+    kinds = [kind for kind in GateKind if (kind.lowered or level is Level.ABSTRACT)
+             and (n > 1 or kind.active_control is None)]
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(kinds))
+        target = draw(st.integers(0, n - 1))
+        fields = {"angle": {"angle": 0.5}, "prob": {"prob": Fraction(1, 2)}}.get(kind.param, {})
+        if kind.active_control is not None:
+            fields["control"] = draw(st.sampled_from([q for q in range(n) if q != target]))
+        gates.append(Gate(kind, target, **fields))
+    return Circuit(n, gates, level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_circuits())
+def test_depth_equals_the_generator_formula(circuit):
+    assert depth(circuit) == _reference_depth(circuit)
+
+
+@pytest.mark.parametrize(
+    "bad, level, message",
+    [
+        (None, Level.ABSTRACT, "expected a Gate, got None"),
+        ("h", Level.LOWERED, "expected a Gate, got 'h'"),
+        (Gate.h(4), Level.ABSTRACT, "qubit 4 out of range for 4 qubits"),
+        (Gate.cnot(1, 9), Level.LOWERED, "qubit 9 out of range for 4 qubits"),
+        (Gate.cz(7, 1), Level.ABSTRACT, "qubit 7 out of range for 4 qubits"),
+        (Gate.cnot(5, 6), Level.ABSTRACT, "qubit 5 out of range for 4 qubits"),
+        (Gate.zero_ch(0, 1), Level.LOWERED, "ZERO_CH not allowed in a lowered circuit"),
+        (Gate.g(2, Fraction(1, 3)), Level.LOWERED, "G not allowed in a lowered circuit"),
+        (Gate.cg(3, 2, Fraction(1, 3)), Level.LOWERED, "CG not allowed in a lowered circuit"),
+    ],
+)
+def test_a_bad_gate_in_a_long_list_is_reported_with_its_index(bad, level, message):
+    gates = [Gate.h(q % 4) if q % 3 else Gate.cnot(q % 4, (q + 1) % 4) for q in range(1000)]
+    gates[617] = bad
+    with pytest.raises(ValueError) as info:
+        Circuit(4, gates, level)
+    assert str(info.value) == f"gate 617: {message}"
+
+
+_SAMPLE_GATES = [Gate.h(0), Gate.ry(1, -0.25), Gate.g(0, Fraction(2, 3)),
+                 Gate.cg(0, 1, Fraction(1, 3)), Gate.zero_ch(1, 0), Gate.cnot(0, 2), Gate.cz(2, 1)]
+
+
+@pytest.mark.parametrize("gate", _SAMPLE_GATES)
+def test_gate_fields_cannot_be_assigned_or_deleted(gate):
+    for field in dataclasses.fields(Gate):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(gate, field.name, getattr(gate, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(gate, field.name)
+    # A name that is no field has no slot either. The __setattr__ that
+    # dataclasses writes for a frozen class refuses it as TypeError once the
+    # class has slots (its super() call names the class before slots were added).
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        gate.label = "extra"
+    assert not hasattr(gate, "label")
+
+
+@pytest.mark.parametrize("gate", _SAMPLE_GATES)
+def test_gate_survives_pickle_and_copy(gate):
+    for other in (pickle.loads(pickle.dumps(gate)), copy.copy(gate), copy.deepcopy(gate)):
+        assert type(other) is Gate
+        assert other == gate
+        assert hash(other) == hash(gate)
+        assert repr(other) == repr(gate)
+
+
+def test_keyword_construction_and_replace_run_every_check():
+    gate = Gate(kind=GateKind.RY, target=1, angle=2)
+    assert gate == Gate.ry(1, 2.0)
+    assert type(gate.angle) is float
+    with pytest.raises(ValueError, match="target must be an integer"):
+        Gate(kind=GateKind.H, target=True)
+    with pytest.raises(ValueError, match="H does not take a control qubit"):
+        dataclasses.replace(Gate.h(0), control=1)
+    with pytest.raises(ValueError, match="CNOT control equals target"):
+        dataclasses.replace(Gate.cnot(0, 1), target=0)
+    with pytest.raises(TypeError, match="exact rational"):
+        dataclasses.replace(Gate.g(0, 1), prob=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(Gate.ry(0, 1.0), angle=math.inf)
+    with pytest.raises(ValueError, match="kind must be a GateKind"):
+        dataclasses.replace(Gate.h(0), kind="x")
+    widened = dataclasses.replace(Gate.g(0, Fraction(1, 2)), prob=1)
+    assert type(widened.prob) is Fraction
+    assert widened == Gate.g(0, Fraction(1))
+    assert dataclasses.replace(Gate.h(0), kind=GateKind.X) == Gate.x(0)
+
+
+def test_gate_repr():
+    assert repr(Gate.h(0)) == (
+        "Gate(kind=<GateKind.H: 'h'>, target=0, control=None, angle=None, prob=None)")
+    assert repr(Gate.cg(0, 1, Fraction(1, 3))) == (
+        "Gate(kind=<GateKind.CG: 'cg'>, target=1, control=0, angle=None, prob=Fraction(1, 3))")
+    assert repr(Gate.ry(2, -0.5)) == (
+        "Gate(kind=<GateKind.RY: 'ry'>, target=2, control=None, angle=-0.5, prob=None)")

@@ -118,6 +118,22 @@ def test_zero_width_register_rejected():
     )
 
 
+def test_a_width_past_the_int_digit_limit_is_a_parse_error():
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[' + "1" * 5000 + "];\n"
+    err = _expect_error(text, 3, match="register width of 5000 digits too large")
+    assert err.column == 8
+
+
+@pytest.mark.parametrize(
+    "statement, column",
+    [("h q[{}];", 5), ("cx q[0],q[{}];", 11), ("cx q[{}],q[1];", 6)],
+)
+def test_an_index_past_the_int_digit_limit_is_out_of_range(statement, column):
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n' + statement.format("9" * 5000)
+    err = _expect_error(text + "\n", 4, match="qubit index of 5000 digits out of range for q[3]")
+    assert err.column == column
+
+
 def test_unknown_gate_reports_position():
     err = _expect_error(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nccx q[0],q[1];\n',
