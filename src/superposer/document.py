@@ -21,11 +21,13 @@ def emit_document(circuit: Circuit) -> str:
     """Render any circuit as a JSON document: the bytes of ``json.dumps(doc, indent=2)``.
 
     Written directly: every value is an exact int, a plain string or a
-    finite float, whose ``repr`` is what ``json.dumps`` writes for it.
+    finite float, whose ``repr`` is what ``json.dumps`` writes for it. A
+    kind's name is read as ``_value_``, a plain attribute, not through the
+    slower ``value`` property.
     """
     entries = []
     for gate in circuit.gates:
-        entry = f'    {{\n      "kind": "{gate.kind.value}",\n      "target": {gate.target}'
+        entry = f'    {{\n      "kind": "{gate.kind._value_}",\n      "target": {gate.target}'
         if gate.control is not None:
             entry += f',\n      "control": {gate.control}'
         if gate.prob is not None:

@@ -19,7 +19,8 @@ _HEADER = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
 
 # The mnemonic <-> kind table. The writer keys it by the kind's value, a
-# string, so no gate pays for hashing an Enum member.
+# string, so no gate pays for hashing an Enum member, and reads that value
+# as ``_value_``, a plain attribute, not through the slower ``value`` property.
 _KINDS = {"h": GateKind.H, "x": GateKind.X, "z": GateKind.Z, "ry": GateKind.RY,
           "cx": GateKind.CNOT, "cz": GateKind.CZ}
 _MNEMONICS = {kind.value: word for word, kind in _KINDS.items()}
@@ -51,7 +52,7 @@ def emit_qasm(circuit: Circuit) -> str:
     lines = [_HEADER, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
     for gate in circuit.gates:
         kind = gate.kind
-        word = _MNEMONICS[kind.value]
+        word = _MNEMONICS[kind._value_]
         if kind.param == "angle":
             lines.append(f"{word}({gate.angle:.17g}) q[{gate.target}];")
         elif kind.active_control is not None:

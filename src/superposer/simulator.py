@@ -27,6 +27,18 @@ higher qubit, the state widens by interleaving zeros, and it widens to
 the full register at the end. This is exact for any circuit; synthesized
 circuits touch qubits in order, so most of their gates run on small
 states. Width is capped at 24 qubits (a 128 MiB state).
+
+Once the state is wide, ``run`` also keeps one bool per block of 2**15
+amplitudes, False where the block holds only zeros; each widening sets
+it from the state. The wide paths skip every chunk, and every block
+cut, whose blocks are all dead; a mix or a swap marks the blocks of
+each cut it computes live. This needs no setting and is exact: every
+gate coefficient is finite, so a gate would only write zeros there, and
+skipping can change at most the sign of a zero. Every nonzero amplitude
+keeps its bits, and ``uniform_distance`` and the norm keep their values.
+Synthesized circuits leave most blocks dead for most of their gates:
+the CG chain keeps one nonzero per split block, and the ZERO_CH walk
+spreads them slowly. ``apply`` and narrow states compute everything.
 """
 
 from __future__ import annotations
@@ -41,7 +53,8 @@ from .ir import Circuit, Gate
 QUBIT_CAP = 24
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_BLOCK = 1 << 15
+_BLOCK_BITS = 15
+_BLOCK = 1 << _BLOCK_BITS
 # Chunks beat the blocked rows once the pairs lie 2**11 or fewer
 # amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
 _CHUNK_REACH_BITS = 11
@@ -157,14 +170,16 @@ def _mix(x: np.ndarray, r: int, low: np.ndarray, high: np.ndarray, swapped: np.n
     np.add(x, swapped, out=x)
 
 
-def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
+def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None) -> None:
     """A 2x2 gate whose pairs lie at most 2**_CHUNK_REACH_BITS apart, chunk by chunk.
 
-    Each contiguous chunk of _BLOCK amplitudes holds whole pairs. If the
-    control bit lies above the chunk, chunks where it is inactive are
-    skipped. If it lies inside, the active runs are gathered into a
-    half-chunk, where the target pairs lie r apart when the control is
-    above the target and r/2 apart when it is below, and scattered back.
+    Each contiguous chunk of _BLOCK amplitudes is one block and holds whole
+    pairs, so it is skipped where ``live`` marks it dead (None marks none)
+    and its liveness does not change. If the control bit lies above the
+    chunk, chunks where it is inactive are skipped. If it lies inside, the
+    active runs are gathered into a half-chunk, where the target pairs lie
+    r apart when the control is above the target and r/2 apart when it is
+    below, and scattered back.
     """
     r = 1 << (n_qubits - gate.target - 1)
     control_run = 0 if gate.control is None else 1 << (n_qubits - gate.control - 1)
@@ -181,7 +196,9 @@ def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
     if gather:
         packed = np.empty(size)
         packed_runs = _runs(packed, control_run)
-    for start in range(0, amps.size, _BLOCK):
+    blocks = range(amps.size // _BLOCK) if live is None else np.flatnonzero(live).tolist()
+    for block in blocks:
+        start = block * _BLOCK
         chunk = amps[start:start + _BLOCK]
         if gather:
             runs = _pairs(chunk, control_run)[:, gate.kind.active_control]
@@ -193,15 +210,13 @@ def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    action = gate.kind.action
-    wide = amps.size > 2 * _BLOCK
-    if wide and action == "mix" and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
-        _apply_chunked(amps, gate, n_qubits)
+    """Apply one gate in place to every amplitude; no block is skipped."""
+    if amps.size > 2 * _BLOCK:
+        _apply_wide(amps, gate, n_qubits, None)
         return
     x0, x1 = _halves(amps, gate, n_qubits)
-    if wide:
-        _apply_blocked(x0, x1, gate)
-    elif action == "flip":
+    action = gate.kind.action
+    if action == "flip":
         x1 *= -1.0
     elif action == "swap":
         old0 = x0.copy()
@@ -214,7 +229,51 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         x0[...] = new0
 
 
-def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
+def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None) -> None:
+    """Apply one gate in place to a state of more than 2**16 amplitudes.
+
+    ``live`` holds one bool per _BLOCK-aligned block of ``amps``, False
+    only where the block holds nothing but zeros. Work on dead blocks is
+    skipped and the map is kept up to date; with None, every block is
+    computed.
+    """
+    if gate.kind.action == "mix" and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
+        _apply_chunked(amps, gate, n_qubits, live)
+        return
+    x0, x1 = _halves(amps, gate, n_qubits)
+    computed = [True] * (x0.size // _BLOCK) if live is None else _live_cuts(live, gate)
+    _apply_blocked(x0, x1, gate, computed)
+
+
+def _live_cuts(live: np.ndarray, gate: Gate) -> list[bool]:
+    """For each of ``_blocks``'s cuts of the gate's halves, whether it touches a live block.
+
+    Viewed as a (2,)*h array, ``live`` has one axis per qubit 0..h-1 that
+    selects the block; the other qubits lie inside a block. A cut is
+    _BLOCK consecutive elements of the halves, indexed by the amplitude
+    index without the target and control bits. So the blocks of cut k are
+    those with the control's active value whose block index, with the
+    target and control bits taken out and then shifted right by the number
+    of those bits that lie inside a block, is k. A mix or a swap marks the
+    blocks of every cut it computes live; a flip leaves the map as it is.
+    """
+    h = live.size.bit_length() - 1
+    t, c = gate.target, gate.control
+    inside = (t >= h) + (c is not None and c >= h)
+    index = [slice(None)] * h
+    if c is not None and c < h:
+        index[c] = gate.kind.active_control
+    sub = live.reshape((2,) * h)[tuple(index)]
+    qubits = [q for q in range(h) if q != c]  # the qubit of each axis of sub
+    outer = [q for q in qubits if q != t]
+    merged_qubits = {t, *outer[len(outer) - inside:]}
+    merged = sub.any(axis=tuple(i for i, q in enumerate(qubits) if q in merged_qubits), keepdims=True)
+    if gate.kind.action != "flip":
+        sub |= merged
+    return merged.ravel().tolist()
+
+
+def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate, computed: list[bool]) -> None:
     """``_apply_inplace``'s arithmetic on the halves of a state of more than 2**16 amplitudes.
 
     The products and sums per amplitude are those of the small path, and
@@ -223,14 +282,17 @@ def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate) -> None:
     near the last qubit, or a control there below a distant target) moves
     to the front, so each ufunc loops over the longest axis. Z multiplies by -1.0 because
     np.negative(..., order="C") writes wrong values on such a view in
-    place (numpy 2.4).
+    place (numpy 2.4). Cuts whose entry in ``computed`` is False are
+    skipped.
     """
     action = gate.kind.action
     if action == "mix":
         a, b, c, d = _coefficients(gate)
     short = x0.shape[-1] <= 4
     s0, s1 = np.empty(_BLOCK), np.empty(_BLOCK)
-    for cut in _blocks(x0.shape):
+    for cut, on in zip(_blocks(x0.shape), computed):
+        if not on:
+            continue
         y0, y1 = x0[cut], x1[cut]
         if short:
             y0, y1 = np.moveaxis(y0, -1, 0), np.moveaxis(y1, -1, 0)
@@ -270,18 +332,42 @@ def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
     return out
 
 
+def _live_blocks(amps: np.ndarray, spread: int) -> np.ndarray:
+    """Which _BLOCK-aligned blocks of the state widened by ``spread`` qubits hold a nonzero.
+
+    A block whose first amplitude is nonzero is live without a scan, so a
+    dense state costs one strided read, not a pass over every amplitude.
+    """
+    per = _BLOCK >> spread
+    if per:
+        groups = amps.reshape(-1, per)
+        live = groups[:, 0] != 0
+        for block in np.flatnonzero(~live).tolist():
+            live[block] = groups[block].any()
+        return live
+    live = np.zeros(amps.size << (spread - _BLOCK_BITS), dtype=bool)
+    live[:: 1 << (spread - _BLOCK_BITS)] = amps != 0
+    return live
+
+
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from the all-zeros state."""
     n = circuit.n_qubits
     _check_width(n)
     amps = np.ones(1)
     width = 0
+    live = None
     for gate in circuit.gates:
         reach = max(gate.qubits) + 1
         if reach > width:
+            if 1 << reach > 2 * _BLOCK:
+                live = _live_blocks(amps, reach - width)
             amps = _widen(amps, width, reach)
             width = reach
-        _apply_inplace(amps, gate, width)
+        if live is None:
+            _apply_inplace(amps, gate, width)
+        else:
+            _apply_wide(amps, gate, width, live)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")

@@ -306,6 +306,114 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
                     assert ("_apply_chunked", place) in ran, (n, kind, place)
 
 
+def _assert_equal_but_for_zero_signs(actual, expected, where):
+    """Equal values, and the same bits on every nonzero amplitude.
+
+    x + 0.0 is x for every double but -0.0, which it turns into +0.0, so
+    the second check compares the bits of everything but a zero's sign.
+    """
+    assert np.array_equal(actual, expected), where
+    assert np.array_equal((actual + 0.0).view(np.int64), (expected + 0.0).view(np.int64)), where
+
+
+def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
+    # Blocks 2 and 3 of every 4 hold only zeros of either sign and are
+    # flagged dead, so gates pair dead blocks with dead ones, live ones with
+    # live ones and the two kinds with each other. Nonzeros must keep the
+    # whole-array expressions' bits, zeros may change only their sign, and
+    # every block that holds a nonzero afterwards must be flagged live.
+    block = simulator._BLOCK
+    for n in (17, 18):
+        rng = np.random.default_rng(n + 100)
+        state = rng.normal(size=1 << n)
+        state[rng.random(state.size) < 0.5] = 0.0
+        blocks = state.reshape(-1, block)
+        dead = np.arange(len(blocks)) % 4 >= 2
+        blocks[dead] = np.where(rng.random(blocks[dead].shape) < 0.5, 0.0, -0.0)
+        expected, actual = np.empty_like(state), np.empty_like(state)
+        for gate in _every_wide_gate(n):
+            np.copyto(expected, state)
+            _expression_kernel(expected, gate, n)
+            np.copyto(actual, state)
+            live = ~dead
+            simulator._apply_wide(actual, gate, n, live)
+            _assert_equal_but_for_zero_signs(actual, expected, (n, gate))
+            holds = actual.reshape(-1, block).any(axis=1)
+            assert not (holds & ~live).any(), (n, gate, live)
+
+
+def _full_width_reference(circuit):
+    """run's amplitudes the long way: every gate on all 2**n amplitudes, no block skipped."""
+    amps = np.zeros(1 << circuit.n_qubits)
+    amps[0] = 1.0
+    for gate in circuit.gates:
+        simulator._apply_inplace(amps, gate, circuit.n_qubits)
+    return amps
+
+
+@pytest.mark.parametrize("N", [
+    (1 << 16) + 1, (1 << 17) + 1, 3 << 16, (1 << 18) - 1, (1 << 18) + 1, (1 << 20) - 1,
+])
+def test_run_equals_the_full_width_reference_bit_for_bit(N):
+    abstract = synthesize(N)
+    for circuit in (abstract, lower(abstract)[0]):
+        expected = _full_width_reference(circuit)
+        amps = run(circuit).amps
+        _assert_equal_but_for_zero_signs(amps, expected, (N, circuit.level))
+
+
+@pytest.mark.parametrize("gates", [
+    # Widening from one amplitude straight past 2**16, then by one qubit
+    # while the only nonzero is not the first of its block.
+    (Gate.x(16), Gate.h(17)),
+    (Gate.h(3), Gate.x(18), Gate.ry(19, 0.3), Gate.cnot(19, 0), Gate.cz(0, 17), Gate.zero_ch(2, 19)),
+])
+def test_run_widening_sets_the_map_from_the_whole_state(gates):
+    circuit = Circuit(max(max(g.qubits) for g in gates) + 1, gates)
+    _assert_equal_but_for_zero_signs(run(circuit).amps, _full_width_reference(circuit), gates)
+
+
+def test_wide_kernels_leave_dead_blocks_untouched():
+    # The kernels take a block flagged dead to hold only zeros and skip it.
+    # Here every block is flagged dead though none is, so any gate that
+    # still computed a block would change, move or negate its values.
+    n = 17
+    state = np.random.default_rng(n).normal(size=1 << n)
+    for gate in _every_wide_gate(n):
+        amps, live = state.copy(), np.zeros(state.size // simulator._BLOCK, dtype=bool)
+        simulator._apply_wide(amps, gate, n, live)
+        assert amps.tobytes() == state.tobytes(), gate
+        assert not live.any(), gate
+
+
+def test_run_skips_blocks_that_hold_only_zeros(monkeypatch):
+    # The same run with every block flagged live computes more: more chunks
+    # through _mix and more cuts on the blocked path, for the same amplitudes.
+    circuit, _ = lower(synthesize((1 << 18) - 1))
+    work = {"chunks": 0, "cuts": 0}
+    real_mix, real_live_cuts = simulator._mix, simulator._live_cuts
+
+    def mix(*args):
+        work["chunks"] += 1
+        real_mix(*args)
+
+    def live_cuts(*args):
+        computed = real_live_cuts(*args)
+        work["cuts"] += sum(computed)
+        return computed
+
+    monkeypatch.setattr(simulator, "_mix", mix)
+    monkeypatch.setattr(simulator, "_live_cuts", live_cuts)
+    skipping = run(circuit).amps
+    skipped_work = dict(work)
+    work.update(chunks=0, cuts=0)
+    monkeypatch.setattr(simulator, "_live_blocks", lambda amps, spread: np.ones(
+        (amps.size << spread) // simulator._BLOCK, dtype=bool))
+    assert np.array_equal(run(circuit).amps, skipping)
+    assert skipped_work["chunks"] < work["chunks"], (skipped_work, work)
+    assert skipped_work["cuts"] < work["cuts"], (skipped_work, work)
+
+
 @pytest.mark.parametrize("level", ["abstract", "lowered"])
 def test_run_peak_memory_stays_near_one_state(level):
     circuit = synthesize((1 << 18) - 1)
