@@ -5,21 +5,6 @@ vectors of length 2**n with qubit 0 as the most significant index bit.
 Gates update the amplitudes in place through reshaped views that pair
 the two values of the target bit, so no 2**n x 2**n matrix is ever built.
 
-How a gate runs depends on the state's size and on how far apart its
-paired amplitudes lie. On states of at most 2**16 amplitudes it is three
-whole-array numpy expressions, which cost least on small states. On
-wider states, H, RY, G, CG and ZERO_CH gates whose pairs lie at most
-2**11 amplitudes apart walk the state in contiguous chunks of 2**15
-amplitudes (256 KiB). Each chunk is copied with the two halves of every
-pair swapped, the copy and the chunk are multiplied by per-gate patterns
-of the matrix entries, and the two are added, so every ufunc runs as one
-long loop. A controlled gate skips the chunks where its control is
-inactive, or gathers the active runs into half a chunk. Every other gate
-on a wide state walks its halves block by block with in-place ufuncs and
-two block-sized buffers. No temporary grows with the state, and each
-block stays in cache. All paths make the same IEEE products and sums
-(x + y is y + x exactly), so they give the same amplitudes bit for bit.
-
 ``run`` starts narrow. A qubit that no gate has touched yet is exactly
 |0>, so ``run`` keeps only the 2**w amplitudes of qubits 0..w-1, where
 w - 1 is the highest qubit touched so far. When a gate first reaches a
@@ -28,22 +13,33 @@ the full register at the end. This is exact for any circuit; synthesized
 circuits touch qubits in order, so most of their gates run on small
 states. Width is capped at 24 qubits (a 128 MiB state).
 
-Once the state is wide, ``run`` also keeps one bool per block of 2**15
-amplitudes, False where the block holds only zeros; each widening sets
-it from the state. The wide paths skip every chunk, and every block
-cut, whose blocks are all dead; a mix or a swap marks the blocks of
-each cut it computes live. This needs no setting and is exact: every
+On states of at most 2**16 amplitudes a gate is three whole-array numpy
+expressions. A wider state is walked in blocks of 2**15 amplitudes
+(256 KiB), which qubits 0..n-16 pick. A gate whose target lies inside a
+block runs on single blocks, one whose target picks the block on pairs
+of blocks. H, RY, G, CG and ZERO_CH gates whose pairs lie at most 2**11
+amplitudes apart copy each block with the two halves of every pair
+swapped and add the products of the copy and the block with per-gate
+patterns of the matrix entries, so every ufunc is one long loop. Other
+gates run in-place ufuncs on the halves of each block or pair through
+two block-sized buffers. No temporary grows with the state, and each
+block stays in cache. All paths make the same IEEE products and sums
+(x + y is y + x exactly), so they give the same amplitudes bit for bit.
+
+A wide ``run`` also keeps one bool per block, False where the block
+holds only zeros, and skips the dead blocks and the pairs of dead
+blocks; each widening sets the map from the state. This is exact: every
 gate coefficient is finite, so a gate would only write zeros there, and
-skipping can change at most the sign of a zero. Every nonzero amplitude
-keeps its bits, and ``uniform_distance`` and the norm keep their values.
-Synthesized circuits leave most blocks dead for most of their gates:
-the CG chain keeps one nonzero per split block, and the ZERO_CH walk
-spreads them slowly. ``apply`` and narrow states compute everything.
+skipping can change at most the sign of a zero. Synthesized circuits
+leave most blocks dead for most of their gates: the CG chain keeps one
+nonzero per split block, and the ZERO_CH walk spreads them slowly.
+``apply`` counts every block of a wide state live.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +51,8 @@ QUBIT_CAP = 24
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _BLOCK_BITS = 15
 _BLOCK = 1 << _BLOCK_BITS
-# Chunks beat the blocked rows once the pairs lie 2**11 or fewer
-# amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
+# The swapped copy beats the buffered ufuncs once the pairs lie 2**11 or
+# fewer amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
 _CHUNK_REACH_BITS = 11
 
 
@@ -70,6 +66,8 @@ class StateVector:
 
 
 def _check_width(n_qubits: int) -> None:
+    if type(n_qubits) is not int:
+        raise ValueError(f"qubit count must be an integer, got {n_qubits!r}")
     if not 1 <= n_qubits <= QUBIT_CAP:
         raise ValueError(f"qubit count {n_qubits} outside 1..{QUBIT_CAP}")
 
@@ -99,42 +97,19 @@ def _coefficients(gate: Gate) -> tuple[float, float, float, float]:
     return _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF
 
 
-def _halves(amps: np.ndarray, gate: Gate, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the amplitudes with the target bit 0 and 1.
-
-    For a controlled gate, only those with the control bit at the kind's
-    ``active_control`` value.
-    """
-    t, c = gate.target, gate.control
+def _halves(x: np.ndarray, t: int, c: int | None, active: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Views of x (qubits 0..m-1) with target bit t at 0 and 1 and control bit c, if any, active."""
+    m = x.size.bit_length() - 1
     if c is None:
-        view = amps.reshape(1 << t, 2, 1 << (n_qubits - t - 1))
+        view = x.reshape(1 << t, 2, 1 << (m - t - 1))
         return view[:, 0], view[:, 1]
     lo, hi = min(c, t), max(c, t)
-    view = amps.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (n_qubits - hi - 1))
+    view = x.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (m - hi - 1))
     if c < t:
-        sub = view[:, gate.kind.active_control]
+        sub = view[:, active]
         return sub[:, :, 0], sub[:, :, 1]
-    sub = view[:, :, :, gate.kind.active_control]
+    sub = view[:, :, :, active]
     return sub[:, 0], sub[:, 1]
-
-
-def _blocks(shape: tuple[int, ...]) -> list[tuple]:
-    """Index tuples that cut an array of this shape into _BLOCK-element pieces.
-
-    Every size is a power of two and the array holds at least _BLOCK
-    elements. The trailing axes that fit in one block are kept whole, the
-    next axis is cut into equal slices and the axes before it are walked
-    one index at a time.
-    """
-    inner, axis = 1, len(shape) - 1
-    while axis > 0 and inner * shape[axis] <= _BLOCK:
-        inner *= shape[axis]
-        axis -= 1
-    step = _BLOCK // inner
-    cuts = [(slice(j, j + step),) for j in range(0, shape[axis], step)]
-    for size in reversed(shape[:axis]):
-        cuts = [(i, *cut) for i in range(size) for cut in cuts]
-    return cuts
 
 
 def _runs(x: np.ndarray, width: int) -> np.ndarray:
@@ -170,51 +145,80 @@ def _mix(x: np.ndarray, r: int, low: np.ndarray, high: np.ndarray, swapped: np.n
     np.add(x, swapped, out=x)
 
 
-def _apply_chunked(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None) -> None:
-    """A 2x2 gate whose pairs lie at most 2**_CHUNK_REACH_BITS apart, chunk by chunk.
+def _chunk_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.ndarray], None]:
+    """``_mix`` on one block, for a mix whose pairs lie at most 2**_CHUNK_REACH_BITS apart.
 
-    Each contiguous chunk of _BLOCK amplitudes is one block and holds whole
-    pairs, so it is skipped where ``live`` marks it dead (None marks none)
-    and its liveness does not change. If the control bit lies above the
-    chunk, chunks where it is inactive are skipped. If it lies inside, the
-    active runs are gathered into a half-chunk, where the target pairs lie
-    r apart when the control is above the target and r/2 apart when it is
-    below, and scattered back.
+    Qubits count from the block's first. A control's active runs are
+    gathered into half a block, where the pairs lie r apart (control above
+    the target) or r/2 (below), and scattered back.
     """
-    r = 1 << (n_qubits - gate.target - 1)
-    control_run = 0 if gate.control is None else 1 << (n_qubits - gate.control - 1)
-    gather = 0 < control_run < _BLOCK
-    if gather and control_run < r:
+    r = 1 << (_BLOCK_BITS - target - 1)
+    if control is not None and control > target:
         r //= 2
-    size = _BLOCK // 2 if gather else _BLOCK
-    low, high, swapped = np.empty(size), np.empty(size), np.empty(size)
+    low, high, swapped = np.empty((3, _BLOCK if control is None else _BLOCK // 2))
     a, b, c, d = _coefficients(gate)
     for pattern, first, second in ((low, a, d), (high, b, c)):
         halves = pattern.reshape(-1, 2, r)
         halves[:, 0] = first
         halves[:, 1] = second
-    if gather:
-        packed = np.empty(size)
-        packed_runs = _runs(packed, control_run)
-    blocks = range(amps.size // _BLOCK) if live is None else np.flatnonzero(live).tolist()
-    for block in blocks:
-        start = block * _BLOCK
-        chunk = amps[start:start + _BLOCK]
-        if gather:
-            runs = _pairs(chunk, control_run)[:, gate.kind.active_control]
-            packed_runs[...] = runs
-            _mix(packed, r, low, high, swapped)
-            runs[...] = packed_runs
-        elif not control_run or start // control_run % 2 == gate.kind.active_control:
-            _mix(chunk, r, low, high, swapped)
+    if control is None:
+        return lambda block: _mix(block, r, low, high, swapped)
+    control_run = 1 << (_BLOCK_BITS - control - 1)
+    packed = np.empty(low.size)
+    packed_runs = _runs(packed, control_run)
+
+    def gathered(block: np.ndarray) -> None:
+        runs = _pairs(block, control_run)[:, gate.kind.active_control]
+        packed_runs[...] = runs
+        _mix(packed, r, low, high, swapped)
+        runs[...] = packed_runs
+
+    return gathered
+
+
+def _buffered_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.ndarray], None]:
+    """``_apply_inplace``'s arithmetic as in-place ufuncs on one block or pair of blocks.
+
+    Qubits count from the unit's first. A contiguous run of 4 or fewer
+    amplitudes (Z, X, CZ or CNOT near the last qubit, or a control there
+    below a distant target) moves to the front, so each ufunc loops over
+    the longest axis. Z multiplies by -1.0 because np.negative(...,
+    order="C") writes wrong values on such a view in place (numpy 2.4).
+    """
+    action, active = gate.kind.action, gate.kind.active_control
+    if action == "mix":
+        a, b, c, d = _coefficients(gate)
+    s0, s1 = np.empty((2, _BLOCK))
+
+    def kernel(unit: np.ndarray) -> None:
+        y0, y1 = _halves(unit, target, control, active)
+        if y0.shape[-1] <= 4:
+            y0, y1 = np.moveaxis(y0, -1, 0), np.moveaxis(y1, -1, 0)
+        if action == "flip":
+            np.multiply(y1, -1.0, out=y1, order="C")
+            return
+        t0, t1 = s0[:y0.size].reshape(y0.shape), s1[:y0.size].reshape(y0.shape)
+        if action == "swap":
+            np.copyto(t0, y0)
+            np.copyto(y0, y1)
+            np.copyto(y1, t0)
+            return
+        np.multiply(y0, c, out=t1, order="C")
+        np.multiply(y0, a, out=y0, order="C")
+        np.multiply(y1, b, out=t0, order="C")
+        np.add(y0, t0, out=y0, order="C")
+        np.multiply(y1, d, out=y1, order="C")
+        np.add(y1, t1, out=y1, order="C")
+
+    return kernel
 
 
 def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    """Apply one gate in place to every amplitude; no block is skipped."""
+    """Apply one gate in place to every amplitude; a wide state counts every block live."""
     if amps.size > 2 * _BLOCK:
-        _apply_wide(amps, gate, n_qubits, None)
+        _apply_wide(amps, gate, n_qubits, np.ones(amps.size >> _BLOCK_BITS, dtype=bool))
         return
-    x0, x1 = _halves(amps, gate, n_qubits)
+    x0, x1 = _halves(amps, gate.target, gate.control, gate.kind.active_control)
     action = gate.kind.action
     if action == "flip":
         x1 *= -1.0
@@ -229,92 +233,42 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         x0[...] = new0
 
 
-def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None) -> None:
-    """Apply one gate in place to a state of more than 2**16 amplitudes.
+def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray) -> None:
+    """Apply one gate in place to a state of more than 2**16 amplitudes, block by block.
 
-    ``live`` holds one bool per _BLOCK-aligned block of ``amps``, False
-    only where the block holds nothing but zeros. Work on dead blocks is
-    skipped and the map is kept up to date; with None, every block is
-    computed.
+    ``live`` holds one bool per _BLOCK-aligned block, False only where the
+    block holds nothing but zeros. The gate runs on each live block, or on
+    each pair of blocks that holds a live one when its target picks the
+    block, but not where a control above the block is inactive. A mix or
+    a swap marks the blocks it computes live; a flip leaves the map as is.
     """
-    if gate.kind.action == "mix" and n_qubits - gate.target - 1 <= _CHUNK_REACH_BITS:
-        _apply_chunked(amps, gate, n_qubits, live)
-        return
-    x0, x1 = _halves(amps, gate, n_qubits)
-    computed = [True] * (x0.size // _BLOCK) if live is None else _live_cuts(live, gate)
-    _apply_blocked(x0, x1, gate, computed)
-
-
-def _live_cuts(live: np.ndarray, gate: Gate) -> list[bool]:
-    """For each of ``_blocks``'s cuts of the gate's halves, whether it touches a live block.
-
-    Viewed as a (2,)*h array, ``live`` has one axis per qubit 0..h-1 that
-    selects the block; the other qubits lie inside a block. A cut is
-    _BLOCK consecutive elements of the halves, indexed by the amplitude
-    index without the target and control bits. So the blocks of cut k are
-    those with the control's active value whose block index, with the
-    target and control bits taken out and then shifted right by the number
-    of those bits that lie inside a block, is k. A mix or a swap marks the
-    blocks of every cut it computes live; a flip leaves the map as it is.
-    """
-    h = live.size.bit_length() - 1
+    h = n_qubits - _BLOCK_BITS
     t, c = gate.target, gate.control
-    inside = (t >= h) + (c is not None and c >= h)
-    index = [slice(None)] * h
+    index = np.arange(live.size)
+    pair = 1 << (h - 1 - t) if t < h else 0
+    taken = (live | live[index ^ pair]) & (index & pair == 0) if pair else live
     if c is not None and c < h:
-        index[c] = gate.kind.active_control
-    sub = live.reshape((2,) * h)[tuple(index)]
-    qubits = [q for q in range(h) if q != c]  # the qubit of each axis of sub
-    outer = [q for q in qubits if q != t]
-    merged_qubits = {t, *outer[len(outer) - inside:]}
-    merged = sub.any(axis=tuple(i for i, q in enumerate(qubits) if q in merged_qubits), keepdims=True)
-    if gate.kind.action != "flip":
-        sub |= merged
-    return merged.ravel().tolist()
-
-
-def _apply_blocked(x0: np.ndarray, x1: np.ndarray, gate: Gate, computed: list[bool]) -> None:
-    """``_apply_inplace``'s arithmetic on the halves of a state of more than 2**16 amplitudes.
-
-    The products and sums per amplitude are those of the small path, and
-    x + y and y + x are the same double, so the result is identical bit
-    for bit. A contiguous run of 4 or fewer amplitudes (Z, X, CZ or CNOT
-    near the last qubit, or a control there below a distant target) moves
-    to the front, so each ufunc loops over the longest axis. Z multiplies by -1.0 because
-    np.negative(..., order="C") writes wrong values on such a view in
-    place (numpy 2.4). Cuts whose entry in ``computed`` is False are
-    skipped.
-    """
-    action = gate.kind.action
-    if action == "mix":
-        a, b, c, d = _coefficients(gate)
-    short = x0.shape[-1] <= 4
-    s0, s1 = np.empty(_BLOCK), np.empty(_BLOCK)
-    for cut, on in zip(_blocks(x0.shape), computed):
-        if not on:
-            continue
-        y0, y1 = x0[cut], x1[cut]
-        if short:
-            y0, y1 = np.moveaxis(y0, -1, 0), np.moveaxis(y1, -1, 0)
-        if action == "flip":
-            np.multiply(y1, -1.0, out=y1, order="C")
-            continue
-        t0, t1 = s0.reshape(y0.shape), s1.reshape(y0.shape)
-        if action == "swap":
-            np.copyto(t0, y0)
-            np.copyto(y0, y1)
-            np.copyto(y1, t0)
-            continue
-        np.multiply(y0, c, out=t1, order="C")
-        np.multiply(y0, a, out=y0, order="C")
-        np.multiply(y1, b, out=t0, order="C")
-        np.add(y0, t0, out=y0, order="C")
-        np.multiply(y1, d, out=y1, order="C")
-        np.add(y1, t1, out=y1, order="C")
+        taken = taken & (index >> (h - 1 - c) & 1 == gate.kind.active_control)
+        c = None
+    blocks = np.flatnonzero(taken)
+    if pair and gate.kind.action != "flip":
+        live[blocks] = live[blocks + pair] = True
+    # A unit is one block, or a pair of blocks as two rows on the target;
+    # its other qubits count from `first`.
+    first = h - 1 if pair else h
+    target, control = (0 if pair else t - first), (None if c is None else c - first)
+    chunked = gate.kind.action == "mix" and n_qubits - t - 1 <= _CHUNK_REACH_BITS
+    kernel = (_chunk_kernel if chunked else _buffered_kernel)(gate, target, control)
+    rows = amps.reshape(-1, _BLOCK)
+    for k in blocks.tolist():
+        kernel(rows[k:k + 2 * pair:pair] if pair else rows[k])
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning a new state. The input is not modified."""
+    if not isinstance(state, StateVector) or not isinstance(gate, Gate):
+        raise ValueError(
+            f"apply takes a StateVector and a Gate, got {type(state).__name__} and {gate!r}")
     for q in gate.qubits:
         if q >= state.n_qubits:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
@@ -356,7 +310,6 @@ def run(circuit: Circuit) -> StateVector:
     _check_width(n)
     amps = np.ones(1)
     width = 0
-    live = None
     for gate in circuit.gates:
         reach = max(gate.qubits) + 1
         if reach > width:
@@ -364,10 +317,10 @@ def run(circuit: Circuit) -> StateVector:
                 live = _live_blocks(amps, reach - width)
             amps = _widen(amps, width, reach)
             width = reach
-        if live is None:
-            _apply_inplace(amps, gate, width)
-        else:
+        if amps.size > 2 * _BLOCK:
             _apply_wide(amps, gate, width, live)
+        else:
+            _apply_inplace(amps, gate, width)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
@@ -382,6 +335,8 @@ def uniform_distance(state: StateVector, N: int) -> float:
     """
     if type(N) is not int or N < 1:
         raise ValueError(f"N must be a positive integer, got {N!r}")
+    if not isinstance(state, StateVector):
+        raise ValueError(f"state must be a StateVector, got {type(state).__name__}")
     amps = state.amps
     if N > amps.size:
         raise ValueError(f"N={N} exceeds the state dimension {amps.size}")

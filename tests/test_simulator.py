@@ -40,6 +40,26 @@ def test_init_zero_enforces_cap():
         init_zero(QUBIT_CAP + 1)
 
 
+@pytest.mark.parametrize("width", [True, 2.0, "3"])
+def test_init_zero_refuses_a_width_that_is_not_an_int(width):
+    with pytest.raises(ValueError, match="qubit count must be an integer"):
+        init_zero(width)
+
+
+@pytest.mark.parametrize("state, gate", [
+    (init_zero(1), "h"),
+    (np.array([1.0, 0.0]), Gate.h(0)),
+])
+def test_apply_refuses_what_is_not_a_state_vector_and_a_gate(state, gate):
+    with pytest.raises(ValueError, match="apply takes a StateVector and a Gate"):
+        apply(state, gate)
+
+
+def test_uniform_distance_refuses_a_state_that_is_not_a_state_vector():
+    with pytest.raises(ValueError, match="state must be a StateVector"):
+        uniform_distance(np.ones(4) / 2, 4)
+
+
 def test_apply_hadamard():
     state = apply(init_zero(1), Gate.h(0))
     assert np.allclose(state.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
@@ -220,9 +240,9 @@ def test_run_equals_a_full_width_apply_chain(circuit):
     assert np.array_equal(amps, state.amps)
 
 
-def _expression_kernel(amps, gate, n_qubits):
-    """The whole-array kernel the blocked one must match bit for bit."""
-    x0, x1 = simulator._halves(amps, gate, n_qubits)
+def _expression_kernel(amps, gate):
+    """The whole-array kernel the wide ones must match bit for bit."""
+    x0, x1 = simulator._halves(amps, gate.target, gate.control, gate.kind.active_control)
     if gate.kind.action == "flip":
         x1 *= -1.0
     elif gate.kind.action == "swap":
@@ -266,16 +286,30 @@ def _control_place(gate, n):
     return "above, beyond a chunk" if 1 << (n - gate.control - 1) >= simulator._BLOCK else "above, inside"
 
 
+def _counting(monkeypatch, name, count):
+    """Patch the kernel factory `name` so each call of a kernel it builds also calls count()."""
+    real = getattr(simulator, name)
+
+    def factory(*args):
+        kernel = real(*args)
+
+        def counted(unit):
+            count()
+            kernel(unit)
+
+        return counted
+
+    monkeypatch.setattr(simulator, name, factory)
+
+
 def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
-    # States of more than 2**16 amplitudes take the wide paths: contiguous
-    # chunks for 2x2 gates whose pairs lie close together, blocked rows for
-    # the rest. Both must give the whole-array expressions' bits.
+    # States of more than 2**16 amplitudes run each gate block by block:
+    # swapped-copy chunks for 2x2 gates whose pairs lie close together,
+    # buffered in-place ufuncs for the rest. Both must give the
+    # whole-array expressions' bits.
     paths = []
-    for name in ("_apply_chunked", "_apply_blocked"):
-        def record(*args, _real=getattr(simulator, name), _name=name):
-            paths.append(_name)
-            _real(*args)
-        monkeypatch.setattr(simulator, name, record)
+    for name in ("_chunk_kernel", "_buffered_kernel"):
+        _counting(monkeypatch, name, lambda _name=name: paths.append(_name))
     seen = set()
     for n in (17, 18):
         rng = np.random.default_rng(n)
@@ -286,12 +320,12 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
         state[rng.random(state.size) < 0.1] *= -1.0
         for gate in _every_wide_gate(n):
             expected = state.copy()
-            _expression_kernel(expected, gate, n)
+            _expression_kernel(expected, gate)
             actual = state.copy()
             paths.clear()
             simulator._apply_inplace(actual, gate, n)
             assert actual.tobytes() == expected.tobytes(), (n, gate)
-            assert len(paths) == 1, (n, gate, paths)
+            assert len(set(paths)) == 1, (n, gate, set(paths))
             seen.add((n, gate.kind, paths[0], _control_place(gate, n)))
     for n in (17, 18):
         for kind in GateKind:
@@ -301,9 +335,9 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
             )
             ran = {(path, place) for m, k, path, place in seen if (m, k) == (n, kind)}
             for place in places:
-                assert ("_apply_blocked", place) in ran, (n, kind, place)
+                assert ("_buffered_kernel", place) in ran, (n, kind, place)
                 if kind.action == "mix":
-                    assert ("_apply_chunked", place) in ran, (n, kind, place)
+                    assert ("_chunk_kernel", place) in ran, (n, kind, place)
 
 
 def _assert_equal_but_for_zero_signs(actual, expected, where):
@@ -333,7 +367,7 @@ def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
         expected, actual = np.empty_like(state), np.empty_like(state)
         for gate in _every_wide_gate(n):
             np.copyto(expected, state)
-            _expression_kernel(expected, gate, n)
+            _expression_kernel(expected, gate)
             np.copyto(actual, state)
             live = ~dead
             simulator._apply_wide(actual, gate, n, live)
@@ -343,11 +377,11 @@ def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
 
 
 def _full_width_reference(circuit):
-    """run's amplitudes the long way: every gate on all 2**n amplitudes, no block skipped."""
+    """run's amplitudes the long way: whole-array expressions on all 2**n amplitudes."""
     amps = np.zeros(1 << circuit.n_qubits)
     amps[0] = 1.0
     for gate in circuit.gates:
-        simulator._apply_inplace(amps, gate, circuit.n_qubits)
+        _expression_kernel(amps, gate)
     return amps
 
 
@@ -388,30 +422,26 @@ def test_wide_kernels_leave_dead_blocks_untouched():
 
 def test_run_skips_blocks_that_hold_only_zeros(monkeypatch):
     # The same run with every block flagged live computes more: more chunks
-    # through _mix and more cuts on the blocked path, for the same amplitudes.
+    # through _mix and more blocks or block pairs through the buffered
+    # kernel, for the same amplitudes.
     circuit, _ = lower(synthesize((1 << 18) - 1))
-    work = {"chunks": 0, "cuts": 0}
-    real_mix, real_live_cuts = simulator._mix, simulator._live_cuts
+    work = {"chunks": 0, "groups": 0}
+    real_mix = simulator._mix
 
     def mix(*args):
         work["chunks"] += 1
         real_mix(*args)
 
-    def live_cuts(*args):
-        computed = real_live_cuts(*args)
-        work["cuts"] += sum(computed)
-        return computed
-
     monkeypatch.setattr(simulator, "_mix", mix)
-    monkeypatch.setattr(simulator, "_live_cuts", live_cuts)
+    _counting(monkeypatch, "_buffered_kernel", lambda: work.update(groups=work["groups"] + 1))
     skipping = run(circuit).amps
     skipped_work = dict(work)
-    work.update(chunks=0, cuts=0)
+    work.update(chunks=0, groups=0)
     monkeypatch.setattr(simulator, "_live_blocks", lambda amps, spread: np.ones(
         (amps.size << spread) // simulator._BLOCK, dtype=bool))
     assert np.array_equal(run(circuit).amps, skipping)
     assert skipped_work["chunks"] < work["chunks"], (skipped_work, work)
-    assert skipped_work["cuts"] < work["cuts"], (skipped_work, work)
+    assert skipped_work["groups"] < work["groups"], (skipped_work, work)
 
 
 @pytest.mark.parametrize("level", ["abstract", "lowered"])
