@@ -9,9 +9,13 @@ the two values of the target bit, so no 2**n x 2**n matrix is ever built.
 |0>, so ``run`` keeps only the 2**w amplitudes of qubits 0..w-1, where
 w - 1 is the highest qubit touched so far. When a gate first reaches a
 higher qubit, the state widens by interleaving zeros, and it widens to
-the full register at the end. This is exact for any circuit; synthesized
-circuits touch qubits in order, so most of their gates run on small
-states. Width is capped at 24 qubits (a 128 MiB state).
+the full register at the end. Past 2**16 amplitudes the state is the
+prefix of one 2**n register, which ``run`` returns; each widening spreads
+it there in place, so none holds two states. A narrow widening by one
+qubit writes a first mix on that qubit with the zeros, and CZ(c, t); Z(t)
+is one flip where c = 0. All this is exact, zero signs included, for any
+circuit; synthesized circuits touch qubits in order, so most of their
+gates run on small states. Width is capped at 24 qubits (a 128 MiB state).
 
 On states of at most 2**16 amplitudes a gate is three whole-array numpy
 expressions. A wider state is walked in blocks of 2**15 amplitudes
@@ -54,6 +58,7 @@ _BLOCK = 1 << _BLOCK_BITS
 # The swapped copy beats the buffered ufuncs once the pairs lie 2**11 or
 # fewer amplitudes apart: per-target timings at 20 qubits, RY, CG and ZERO_CH.
 _CHUNK_REACH_BITS = 11
+_Kernel = Callable[[np.ndarray], None]
 
 
 @dataclass
@@ -145,7 +150,7 @@ def _mix(x: np.ndarray, r: int, low: np.ndarray, high: np.ndarray, swapped: np.n
     np.add(x, swapped, out=x)
 
 
-def _chunk_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.ndarray], None]:
+def _chunk_kernel(gate: Gate, target: int, control: int | None, active: int | None) -> _Kernel:
     """``_mix`` on one block, for a mix whose pairs lie at most 2**_CHUNK_REACH_BITS apart.
 
     Qubits count from the block's first. A control's active runs are
@@ -168,7 +173,7 @@ def _chunk_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.
     packed_runs = _runs(packed, control_run)
 
     def gathered(block: np.ndarray) -> None:
-        runs = _pairs(block, control_run)[:, gate.kind.active_control]
+        runs = _pairs(block, control_run)[:, active]
         packed_runs[...] = runs
         _mix(packed, r, low, high, swapped)
         runs[...] = packed_runs
@@ -176,7 +181,7 @@ def _chunk_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.
     return gathered
 
 
-def _buffered_kernel(gate: Gate, target: int, control: int | None) -> Callable[[np.ndarray], None]:
+def _buffered_kernel(gate: Gate, target: int, control: int | None, active: int | None) -> _Kernel:
     """``_apply_inplace``'s arithmetic as in-place ufuncs on one block or pair of blocks.
 
     Qubits count from the unit's first. A contiguous run of 4 or fewer
@@ -185,7 +190,7 @@ def _buffered_kernel(gate: Gate, target: int, control: int | None) -> Callable[[
     the longest axis. Z multiplies by -1.0 because np.negative(...,
     order="C") writes wrong values on such a view in place (numpy 2.4).
     """
-    action, active = gate.kind.action, gate.kind.active_control
+    action = gate.kind.action
     if action == "mix":
         a, b, c, d = _coefficients(gate)
     s0, s1 = np.empty((2, _BLOCK))
@@ -213,12 +218,12 @@ def _buffered_kernel(gate: Gate, target: int, control: int | None) -> Callable[[
     return kernel
 
 
-def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
+def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, active: int | None) -> None:
     """Apply one gate in place to every amplitude; a wide state counts every block live."""
     if amps.size > 2 * _BLOCK:
-        _apply_wide(amps, gate, n_qubits, np.ones(amps.size >> _BLOCK_BITS, dtype=bool))
+        _apply_wide(amps, gate, n_qubits, np.ones(amps.size >> _BLOCK_BITS, dtype=bool), active)
         return
-    x0, x1 = _halves(amps, gate.target, gate.control, gate.kind.active_control)
+    x0, x1 = _halves(amps, gate.target, gate.control, active)
     action = gate.kind.action
     if action == "flip":
         x1 *= -1.0
@@ -233,13 +238,14 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int) -> None:
         x0[...] = new0
 
 
-def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray) -> None:
+def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray,
+                active: int | None) -> None:
     """Apply one gate in place to a state of more than 2**16 amplitudes, block by block.
 
     ``live`` holds one bool per _BLOCK-aligned block, False only where the
     block holds nothing but zeros. The gate runs on each live block, or on
     each pair of blocks that holds a live one when its target picks the
-    block, but not where a control above the block is inactive. A mix or
+    block, and only where a control above the block is ``active``. A mix or
     a swap marks the blocks it computes live; a flip leaves the map as is.
     """
     h = n_qubits - _BLOCK_BITS
@@ -248,7 +254,7 @@ def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray) -
     pair = 1 << (h - 1 - t) if t < h else 0
     taken = (live | live[index ^ pair]) & (index & pair == 0) if pair else live
     if c is not None and c < h:
-        taken = taken & (index >> (h - 1 - c) & 1 == gate.kind.active_control)
+        taken = taken & (index >> (h - 1 - c) & 1 == active)
         c = None
     blocks = np.flatnonzero(taken)
     if pair and gate.kind.action != "flip":
@@ -258,7 +264,7 @@ def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray) -
     first = h - 1 if pair else h
     target, control = (0 if pair else t - first), (None if c is None else c - first)
     chunked = gate.kind.action == "mix" and n_qubits - t - 1 <= _CHUNK_REACH_BITS
-    kernel = (_chunk_kernel if chunked else _buffered_kernel)(gate, target, control)
+    kernel = (_chunk_kernel if chunked else _buffered_kernel)(gate, target, control, active)
     rows = amps.reshape(-1, _BLOCK)
     for k in blocks.tolist():
         kernel(rows[k:k + 2 * pair:pair] if pair else rows[k])
@@ -273,7 +279,7 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         if q >= state.n_qubits:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
     out = state.amps.copy()
-    _apply_inplace(out, gate, state.n_qubits)
+    _apply_inplace(out, gate, state.n_qubits, gate.kind.active_control)
     return StateVector(state.n_qubits, out)
 
 
@@ -284,6 +290,39 @@ def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
     out = np.zeros(1 << new_width)
     out[:: 1 << (new_width - width)] = amps
     return out
+
+
+def _widen_mixed(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """``_widen`` by one qubit, then the mix ``gate`` on that qubit, in one pass.
+
+    Where the gate acts, (x[i], +0.0) becomes (a*x[i] + b*0.0, c*x[i] + d*0.0), bit for bit.
+    """
+    a, b, c, d = _coefficients(gate)
+    out = np.empty(2 * amps.size)
+    x, y = amps, out.reshape(-1, 2)
+    if gate.control is not None:
+        x, y = amps.reshape(1 << gate.control, 2, -1), out.reshape(1 << gate.control, 2, -1, 2)
+        off = 1 - gate.kind.active_control
+        y[:, off, :, 0], y[:, off, :, 1] = x[:, off], 0.0
+        x, y = x[:, 1 - off], y[:, 1 - off]
+    for half, first, second in ((y[..., 0], a, b), (y[..., 1], c, d)):
+        np.multiply(x, first, out=half)
+        np.add(half, second * 0.0, out=half)
+    return out
+
+
+def _spread(register: np.ndarray, width: int, new_width: int) -> None:
+    """``_widen`` in place: register[:2**width], a block or more with zeros above, to 2**new_width.
+
+    Blocks move top down, so each is read before anything lands on it.
+    """
+    size, s = 1 << width, new_width - width
+    for lo in range(size - _BLOCK, -1, -_BLOCK) if s else ():
+        # Only the bottom block overlaps its own destination.
+        source = register[lo:lo + _BLOCK] if lo else register[:_BLOCK].copy()
+        dest = register[lo << s:(lo + _BLOCK) << s]
+        dest[:max(size - (lo << s), 0)] = 0.0
+        dest[::1 << s] = source
 
 
 def _live_blocks(amps: np.ndarray, spread: int) -> np.ndarray:
@@ -308,23 +347,44 @@ def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from the all-zeros state."""
     n = circuit.n_qubits
     _check_width(n)
-    amps = np.ones(1)
-    width = 0
-    for gate in circuit.gates:
+    gates = circuit.gates
+    amps, width, register, i = np.ones(1), 0, None, 0
+    while i < len(gates):
+        gate = gates[i]
+        i += 1
+        active = gate.kind.active_control
+        # CZ(c, t); Z(t) is one flip where c = 0.
+        if (gate.kind.action == "flip" and gate.control is not None and i < len(gates)
+                and gates[i].kind.action == "flip" and gates[i].control is None
+                and gates[i].target == gate.target):
+            active, i = 0, i + 1
         reach = max(gate.qubits) + 1
         if reach > width:
             if 1 << reach > 2 * _BLOCK:
                 live = _live_blocks(amps, reach - width)
-            amps = _widen(amps, width, reach)
+                if register is None:
+                    register = np.zeros(1 << n)
+                    register[:1 << reach:1 << (reach - width)] = amps
+                else:
+                    _spread(register, width, reach)
+                amps = register[:1 << reach]
+            elif reach == width + 1 and gate.target == width and gate.kind.action == "mix":
+                amps, width = _widen_mixed(amps, gate), reach
+                continue
+            else:
+                amps = _widen(amps, width, reach)
             width = reach
         if amps.size > 2 * _BLOCK:
-            _apply_wide(amps, gate, width, live)
+            _apply_wide(amps, gate, width, live, active)
         else:
-            _apply_inplace(amps, gate, width)
+            _apply_inplace(amps, gate, width, active)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
-    return StateVector(n, _widen(amps, width, n))
+    if register is None:
+        return StateVector(n, _widen(amps, width, n))
+    _spread(register, width, n)
+    return StateVector(n, register)
 
 
 def uniform_distance(state: StateVector, N: int) -> float:

@@ -144,13 +144,14 @@ from superposer.ir import Circuit, Gate
 assert sys.flags.optimize
 real = simulator._apply_inplace
 
-def scaling(amps, gate, n_qubits):
-    real(amps, gate, n_qubits)
+def scaling(amps, gate, n_qubits, active):
+    real(amps, gate, n_qubits, active)
     amps *= 2.0
 
 simulator._apply_inplace = scaling
 try:
-    simulator.run(Circuit(2, (Gate.h(0), Gate.h(1))))
+    # H(0) and H(1) are fused into the widenings; Z(0) goes through the patch.
+    simulator.run(Circuit(2, (Gate.h(0), Gate.h(1), Gate.z(0))))
 except RuntimeError as exc:
     print("raised:", exc)
 """
@@ -240,6 +241,59 @@ def test_run_equals_a_full_width_apply_chain(circuit):
     assert np.array_equal(amps, state.amps)
 
 
+def _narrow_reference(circuit):
+    """run's narrow semantics, gate by gate.
+
+    The state widens with +0.0 when a gate first reaches a higher qubit,
+    then the gate runs as the whole-array expressions.
+    """
+    def widen(amps, width, new_width):
+        out = np.zeros(1 << new_width)
+        out[:: 1 << (new_width - width)] = amps
+        return out
+
+    amps, width = np.ones(1), 0
+    for gate in circuit.gates:
+        reach = max(gate.qubits) + 1
+        if reach > width:
+            amps, width = widen(amps, width, reach), reach
+        _expression_kernel(amps, gate)
+    return widen(amps, width, circuit.n_qubits)
+
+
+@st.composite
+def _fresh_and_paired_circuits(draw):
+    """Circuits on up to 8 qubits that put first gates on fresh qubits and CZ;Z pairs."""
+    n = draw(st.integers(1, 8))
+    gates, width = [], 0
+    for _ in range(draw(st.integers(0, 16))):
+        step = draw(st.sampled_from(["fresh", "cz;z", "any"]))
+        if step == "fresh" and width < n:
+            # Often the next qubit, so the widening adds one qubit.
+            t = draw(st.one_of(st.just(width), st.integers(width, n - 1)))
+            kinds = [st.builds(Gate.h, st.just(t)), st.builds(Gate.ry, st.just(t), st.floats(-7, 7)),
+                     st.builds(Gate.g, st.just(t), _PROB)]
+            if t > 0:
+                control = st.integers(0, t - 1)
+                kinds += [st.builds(lambda c, p: Gate.cg(c, t, p), control, _PROB),
+                          control.map(lambda c: Gate.zero_ch(c, t))]
+            gates.append(draw(st.one_of(kinds)))
+        elif step == "cz;z" and n > 1:
+            control, target = draw(_pairs(n))
+            gates += [Gate.cz(control, target), Gate.z(target)]
+        else:
+            gates.append(draw(_gates(st.integers(0, n - 1), _pairs(n) if n > 1 else None)))
+        width = max(max(g.qubits) for g in gates) + 1
+    return Circuit(n, gates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fresh_and_paired_circuits())
+def test_run_equals_the_narrow_reference_byte_for_byte(circuit):
+    # Byte equality sees the sign of every zero, which np.array_equal does not.
+    assert run(circuit).amps.tobytes() == _narrow_reference(circuit).tobytes()
+
+
 def _expression_kernel(amps, gate):
     """The whole-array kernel the wide ones must match bit for bit."""
     x0, x1 = simulator._halves(amps, gate.target, gate.control, gate.kind.active_control)
@@ -323,7 +377,7 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
             _expression_kernel(expected, gate)
             actual = state.copy()
             paths.clear()
-            simulator._apply_inplace(actual, gate, n)
+            simulator._apply_inplace(actual, gate, n, gate.kind.active_control)
             assert actual.tobytes() == expected.tobytes(), (n, gate)
             assert len(set(paths)) == 1, (n, gate, set(paths))
             seen.add((n, gate.kind, paths[0], _control_place(gate, n)))
@@ -370,7 +424,7 @@ def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
             _expression_kernel(expected, gate)
             np.copyto(actual, state)
             live = ~dead
-            simulator._apply_wide(actual, gate, n, live)
+            simulator._apply_wide(actual, gate, n, live, gate.kind.active_control)
             _assert_equal_but_for_zero_signs(actual, expected, (n, gate))
             holds = actual.reshape(-1, block).any(axis=1)
             assert not (holds & ~live).any(), (n, gate, live)
@@ -401,10 +455,20 @@ def test_run_equals_the_full_width_reference_bit_for_bit(N):
     # while the only nonzero is not the first of its block.
     (Gate.x(16), Gate.h(17)),
     (Gate.h(3), Gate.x(18), Gate.ry(19, 0.3), Gate.cnot(19, 0), Gate.cz(0, 17), Gate.zero_ch(2, 19)),
+    # From 16 amplitudes past 2**16 in one jump, then by several qubits
+    # inside the register, with CZ;Z pairs on both sides of the target.
+    (Gate.h(3), Gate.ry(16, 0.3), Gate.h(0), Gate.zero_ch(0, 19), Gate.cz(16, 3), Gate.z(3),
+     Gate.cz(0, 19), Gate.z(19)),
+    # The first wide widening from a full 2**16-amplitude narrow state.
+    tuple(Gate.h(q) for q in range(16)) + (Gate.ry(16, 0.3), Gate.cz(3, 17), Gate.h(17)),
 ])
 def test_run_widening_sets_the_map_from_the_whole_state(gates):
-    circuit = Circuit(max(max(g.qubits) for g in gates) + 1, gates)
-    _assert_equal_but_for_zero_signs(run(circuit).amps, _full_width_reference(circuit), gates)
+    top = max(max(g.qubits) for g in gates)
+    # With two qubits no gate touches, the last widening spreads the state
+    # inside the register too (21 qubits at most, to keep the arrays small).
+    for n in (top + 1, min(top + 3, 21)):
+        circuit = Circuit(n, gates)
+        _assert_equal_but_for_zero_signs(run(circuit).amps, _full_width_reference(circuit), (n, gates))
 
 
 def test_wide_kernels_leave_dead_blocks_untouched():
@@ -415,7 +479,7 @@ def test_wide_kernels_leave_dead_blocks_untouched():
     state = np.random.default_rng(n).normal(size=1 << n)
     for gate in _every_wide_gate(n):
         amps, live = state.copy(), np.zeros(state.size // simulator._BLOCK, dtype=bool)
-        simulator._apply_wide(amps, gate, n, live)
+        simulator._apply_wide(amps, gate, n, live, gate.kind.active_control)
         assert amps.tobytes() == state.tobytes(), gate
         assert not live.any(), gate
 
@@ -446,16 +510,19 @@ def test_run_skips_blocks_that_hold_only_zeros(monkeypatch):
 
 @pytest.mark.parametrize("level", ["abstract", "lowered"])
 def test_run_peak_memory_stays_near_one_state(level):
-    circuit = synthesize((1 << 18) - 1)
-    if level == "lowered":
-        circuit, _ = lower(circuit)
-    tracemalloc.start()
-    try:
-        state = run(circuit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * state.amps.nbytes
+    # Wide widenings spread inside the one register run returns, so the
+    # rest is the kernels' block buffers: under 1 MiB.
+    for N in ((1 << 18) - 1, (1 << 20) - 1):
+        circuit = synthesize(N)
+        if level == "lowered":
+            circuit, _ = lower(circuit)
+        tracemalloc.start()
+        try:
+            state = run(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amps.nbytes + (1 << 20), (N, peak)
 
 
 def test_uniform_distance_examples():
