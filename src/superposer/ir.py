@@ -30,28 +30,29 @@ class GateKind(Enum):
 
     ``active_control``: the control bit value that makes the gate act, or None.
     ``param``: the parameter the gate takes, "angle", "prob" or None.
-    ``lowered``: whether a lowered circuit may hold the gate.
+    ``qasm``: its OpenQASM word, or None if a lowered circuit may not hold it (``lowered``).
     ``action``: what the gate does to each pair of amplitudes that differ in
     the target bit: "flip" negates the one with the bit set, "swap"
     exchanges the two and "mix" applies a real 2x2 matrix.
     """
 
-    H = ("h", None, None, True, "mix")
-    X = ("x", None, None, True, "swap")
-    Z = ("z", None, None, True, "flip")
-    RY = ("ry", None, "angle", True, "mix")
-    G = ("g", None, "prob", False, "mix")
-    CG = ("cg", 1, "prob", False, "mix")
-    ZERO_CH = ("zero_ch", 0, None, False, "mix")
-    CNOT = ("cnot", 1, None, True, "swap")
-    CZ = ("cz", 1, None, True, "flip")
+    H = ("h", None, None, "h", "mix")
+    X = ("x", None, None, "x", "swap")
+    Z = ("z", None, None, "z", "flip")
+    RY = ("ry", None, "angle", "ry", "mix")
+    G = ("g", None, "prob", None, "mix")
+    CG = ("cg", 1, "prob", None, "mix")
+    ZERO_CH = ("zero_ch", 0, None, None, "mix")
+    CNOT = ("cnot", 1, None, "cx", "swap")
+    CZ = ("cz", 1, None, "cz", "flip")
 
-    def __new__(cls, value, active_control, param, lowered, action):
+    def __new__(cls, value, active_control, param, qasm, action):
         member = object.__new__(cls)
         member._value_ = value
         member.active_control = active_control
         member.param = param
-        member.lowered = lowered
+        member.qasm = qasm
+        member.lowered = qasm is not None
         member.action = action
         return member
 
@@ -178,17 +179,6 @@ _set_kind, _set_target, _set_control, _set_angle, _set_prob = (
     getattr(Gate, name).__set__ for name in ("kind", "target", "control", "angle", "prob"))
 
 
-def _check_gate(gate: Gate, n_qubits: int, level: Level, index: int) -> None:
-    """Raise the error for a gate that ``Circuit``'s inline test refused."""
-    if type(gate) is not Gate:
-        raise ValueError(f"gate {index}: expected a Gate, got {gate!r}")
-    for q in gate.qubits:
-        if q >= n_qubits:
-            raise ValueError(f"gate {index}: qubit {q} out of range for {n_qubits} qubits")
-    if level is Level.LOWERED and not gate.kind.lowered:
-        raise ValueError(f"gate {index}: {gate.kind.name} not allowed in a lowered circuit")
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An immutable gate sequence on a fixed-width register."""
@@ -208,13 +198,17 @@ class Circuit:
             object.__setattr__(self, "gates", tuple(self.gates))
         except TypeError:
             raise ValueError(f"gates must be an iterable of Gates, got {self.gates!r}") from None
-        # Gate makes its indices non-negative ints, so this is all _check_gate tests.
         n, lowered = self.n_qubits, self.level is Level.LOWERED
         for i, gate in enumerate(self.gates):
-            if (type(gate) is not Gate or gate.target >= n
-                    or (gate.control is not None and gate.control >= n)
-                    or (lowered and not gate.kind.lowered)):
-                _check_gate(gate, n, self.level, i)
+            if type(gate) is not Gate:
+                raise ValueError(f"gate {i}: expected a Gate, got {gate!r}")
+            # Gate makes its indices non-negative ints; the control, if any, is named first.
+            if gate.control is not None and gate.control >= n:
+                raise ValueError(f"gate {i}: qubit {gate.control} out of range for {n} qubits")
+            if gate.target >= n:
+                raise ValueError(f"gate {i}: qubit {gate.target} out of range for {n} qubits")
+            if lowered and not gate.kind.lowered:
+                raise ValueError(f"gate {i}: {gate.kind.name} not allowed in a lowered circuit")
 
     def __len__(self) -> int:
         return len(self.gates)

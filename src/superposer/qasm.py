@@ -18,12 +18,7 @@ from .ir import Circuit, Gate, GateKind, Level
 _HEADER = "OPENQASM 2.0;"
 _INCLUDE = 'include "qelib1.inc";'
 
-# The mnemonic <-> kind table. The writer keys it by the kind's value, a
-# string, so no gate pays for hashing an Enum member, and reads that value
-# as ``_value_``, a plain attribute, not through the slower ``value`` property.
-_KINDS = {"h": GateKind.H, "x": GateKind.X, "z": GateKind.Z, "ry": GateKind.RY,
-          "cx": GateKind.CNOT, "cz": GateKind.CZ}
-_MNEMONICS = {kind.value: word for word, kind in _KINDS.items()}
+_KINDS = {kind.qasm: kind for kind in GateKind if kind.lowered}
 
 _QREG_RE = re.compile(r"\s*qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]\s*;\s*$")
 _WORD_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_.]*)")
@@ -52,13 +47,12 @@ def emit_qasm(circuit: Circuit) -> str:
     lines = [_HEADER, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
     for gate in circuit.gates:
         kind = gate.kind
-        word = _MNEMONICS[kind._value_]
         if kind.param == "angle":
-            lines.append(f"{word}({gate.angle:.17g}) q[{gate.target}];")
+            lines.append(f"{kind.qasm}({gate.angle:.17g}) q[{gate.target}];")
         elif kind.active_control is not None:
-            lines.append(f"{word} q[{gate.control}],q[{gate.target}];")
+            lines.append(f"{kind.qasm} q[{gate.control}],q[{gate.target}];")
         else:
-            lines.append(f"{word} q[{gate.target}];")
+            lines.append(f"{kind.qasm} q[{gate.target}];")
     return "\n".join(lines) + "\n"
 
 
@@ -124,7 +118,7 @@ def parse_qasm(text: str) -> Circuit:
 
     # Groups: 1 word, 2 angle, 3 and 4 the indices. A register name is an identifier.
     operand = rf"{register}\s*\[\s*([0-9]+)\s*\]"
-    statement = re.compile(rf"{_WORD_RE.pattern}(?:\s*\(\s*([^)]*?)\s*\))?\s+{operand}"
+    statement = re.compile(rf"{_WORD_RE.pattern}(?:\s*\(\s*([^)]*)\))?\s+{operand}"
                            rf"(?:\s*,\s*{operand})?\s*;\s*$")
     gates: list[Gate] = []
     for lineno, raw in lines[3:]:
@@ -138,6 +132,7 @@ def parse_qasm(text: str) -> Circuit:
             raise _statement_error(lineno, raw)
         angle = None
         if angle_text is not None:
+            angle_text = angle_text.rstrip()
             if not _DECIMAL_RE.fullmatch(angle_text):
                 raise QasmParseError(lineno, match.start(2) + 1, f"bad angle {angle_text!r}")
             angle = float(angle_text)

@@ -61,13 +61,27 @@ _CHUNK_REACH_BITS = 11
 _Kernel = Callable[[np.ndarray], None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateVector:
-    n_qubits: int
+    """The 2**n float64 amplitudes of an n-qubit state, n in 1..QUBIT_CAP."""
+
     amps: np.ndarray
 
+    def __post_init__(self) -> None:
+        amps = self.amps
+        if (not isinstance(amps, np.ndarray) or amps.ndim != 1 or amps.dtype != np.float64
+                or not 2 <= amps.size <= 1 << QUBIT_CAP or amps.size & (amps.size - 1)):
+            got = (f"{amps.dtype} array of shape {amps.shape}" if isinstance(amps, np.ndarray)
+                   else type(amps).__name__)
+            raise ValueError(f"amps must be a 1-D float64 ndarray of 2**n amplitudes, "
+                             f"n in 1..{QUBIT_CAP}, got {got}")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.amps.size.bit_length() - 1
+
     def copy(self) -> StateVector:
-        return StateVector(self.n_qubits, self.amps.copy())
+        return StateVector(self.amps.copy())
 
 
 def _check_width(n_qubits: int) -> None:
@@ -82,14 +96,12 @@ def init_zero(n_qubits: int) -> StateVector:
     _check_width(n_qubits)
     amps = np.zeros(1 << n_qubits)
     amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    return StateVector(amps)
 
 
 def _coefficients(gate: Gate) -> tuple[float, float, float, float]:
     """Entries a, b, c, d of the real target matrix [[a, b], [c, d]] of a mixing gate."""
     kind = gate.kind
-    if kind.action != "mix":
-        raise ValueError(f"no target matrix for {kind.name}")
     if kind.param == "angle":
         c = math.cos(gate.angle / 2.0)
         s = math.sin(gate.angle / 2.0)
@@ -280,7 +292,7 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
     out = state.amps.copy()
     _apply_inplace(out, gate, state.n_qubits, gate.kind.active_control)
-    return StateVector(state.n_qubits, out)
+    return StateVector(out)
 
 
 def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
@@ -382,9 +394,9 @@ def run(circuit: Circuit) -> StateVector:
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
     if register is None:
-        return StateVector(n, _widen(amps, width, n))
+        return StateVector(_widen(amps, width, n))
     _spread(register, width, n)
-    return StateVector(n, register)
+    return StateVector(register)
 
 
 def uniform_distance(state: StateVector, N: int) -> float:

@@ -15,6 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 from superposer import encoding
+from superposer.ir import GateKind
+from superposer.lowering import lower
+from superposer.synthesis import synthesize
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -42,6 +45,16 @@ def _inputs(wl, name):
 def test_one_op_of_each_workload_passes_its_checks(wl, name):
     _, problems, _ = wl.WORKLOADS[name].run(_inputs(wl, name), wl.Untraced())
     assert problems == []
+
+
+def test_replay_applies_every_gate_kind_and_copies_the_state(wl):
+    # The traced run replays its circuits through init_zero, apply and
+    # StateVector.copy, which no untraced op calls.
+    abstract = synthesize(4095)
+    totals = {}
+    wl.replay([abstract, lower(abstract)[0]], totals)
+    assert set(totals) == {kind.value for kind in GateKind} | {"copy"}
+    assert all(amps > 0 for _, amps in totals.values()), totals
 
 
 def test_serialize_reads_only_what_the_benchmark_stand_in_has():

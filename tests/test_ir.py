@@ -121,6 +121,7 @@ def test_gate_control_must_differ_from_target():
 
 # The vocabulary README states, restated so the kind facts are pinned to it.
 _LOWERED_KINDS = {"h", "x", "z", "ry", "cnot", "cz"}
+_QASM_WORDS = {"h": "h", "x": "x", "z": "z", "ry": "ry", "cnot": "cx", "cz": "cz"}
 _CONTROLLED_KINDS = {"cg", "zero_ch", "cnot", "cz"}
 _PARAMS = {"ry": "angle", "g": "prob", "cg": "prob"}
 
@@ -133,6 +134,8 @@ def test_gate_field_presence_rules():
                "prob": "does not take a probability"}
     for kind in GateKind:
         assert kind.lowered == (kind.value in _LOWERED_KINDS), kind
+        assert kind.qasm == _QASM_WORDS.get(kind.value), kind
+        assert kind.lowered == (kind.qasm is not None), kind
         if kind.value in _CONTROLLED_KINDS:
             assert kind.active_control == (0 if kind is GateKind.ZERO_CH else 1), kind
         else:

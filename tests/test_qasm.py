@@ -76,11 +76,13 @@ def test_parse_accepts_loose_whitespace():
         "\n"
         "h   q[ 0 ] ;\n"
         "cx q[0] , q[1];\n"
+        "ry( 0.5\t\x0b) q[1];\n"
     )
     circuit = parse_qasm(text)
     assert circuit.n_qubits == 2
-    assert len(circuit) == 2
+    assert len(circuit) == 3
     assert circuit.level is Level.LOWERED
+    assert circuit.gates[2] == Gate.ry(1, 0.5)
 
 
 def _expect_error(text, line, column_predicate=None, match=None):
@@ -236,6 +238,7 @@ def test_cx_with_equal_operands_rejected():
         ("ry() q[0];", (4, "bad angle ''")),
         ("cx q[0],q[007];", (11, "qubit 7 out of range for q[2]")),
         ("h q[02];", (5, "qubit 2 out of range for q[2]")),
+        ("ry(1 .5) q[0];", (4, "bad angle '1 .5'")),
     ],
 )
 def test_statement_shapes(statement, expected):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -58,6 +59,35 @@ def test_apply_refuses_what_is_not_a_state_vector_and_a_gate(state, gate):
 def test_uniform_distance_refuses_a_state_that_is_not_a_state_vector():
     with pytest.raises(ValueError, match="state must be a StateVector"):
         uniform_distance(np.ones(4) / 2, 4)
+
+
+@pytest.mark.parametrize("amps", [
+    np.array([1, 0, 0, 0]),                     # int storage would truncate a mix
+    [1.0, 0.0],                                 # not an array
+    np.zeros((2, 2)),                           # not 1-D
+    np.ones(3),                                 # not 2**n amplitudes
+    np.ones(1),                                 # no qubit
+    np.broadcast_to(np.zeros(1), 2 << QUBIT_CAP),  # over the cap, without the memory
+])
+def test_state_vector_refuses_what_is_not_a_state(amps):
+    with pytest.raises(ValueError, match="amps must be a 1-D float64 ndarray of 2[*][*]n"):
+        StateVector(amps)
+
+
+def test_state_vector_states_its_width_once():
+    # The width is the amplitude count's, so a state cannot claim another one.
+    with pytest.raises(TypeError):
+        StateVector(3, np.ones(4) / 2)
+    state = StateVector(np.ones(4) / 2)
+    assert state.n_qubits == 2
+    assert uniform_distance(state, 4) == 0.0
+    wide = StateVector(np.zeros(1 << 17))
+    assert wide.n_qubits == 17
+    with pytest.raises(ValueError, match="qubit 17 out of range for 17 qubits"):
+        apply(wide, Gate.h(17))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.amps = np.ones(8)
+    assert wide.copy().n_qubits == 17 and init_zero(3).n_qubits == 3
 
 
 def test_apply_hadamard():
@@ -542,17 +572,17 @@ def test_uniform_distance_equals_the_full_expected_vector():
         return float(np.max(np.abs(state.amps - expected)))
 
     rng = np.random.default_rng(5)
-    state = StateVector(3, rng.normal(size=8))
+    state = StateVector(rng.normal(size=8))
     for N in range(1, 9):
         assert uniform_distance(state, N) == reference(state, N)
     # The tail beyond N can hold the largest deviation.
-    flat = StateVector(2, np.full(4, 0.5))
+    flat = StateVector(np.full(4, 0.5))
     assert uniform_distance(flat, 3) == 0.5 == reference(flat, 3)
     # N equal to the dimension leaves no tail to compare.
-    near = StateVector(2, np.array([0.5, 0.5, 0.5, 0.625]))
+    near = StateVector(np.array([0.5, 0.5, 0.5, 0.625]))
     assert uniform_distance(near, 4) == 0.125 == reference(near, 4)
     # Wider than one block: the maxima are taken block by block.
-    wide = StateVector(17, rng.normal(size=1 << 17) * 1e-3)
+    wide = StateVector(rng.normal(size=1 << 17) * 1e-3)
     block = simulator._BLOCK
     for N in (1, block - 1, block, block + 1, 3 * block + 5, 1 << 17):
         assert uniform_distance(wide, N) == reference(wide, N)
