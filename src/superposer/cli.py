@@ -192,7 +192,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     # The circuit lands first: no new mapping ever appears without its circuit.
     _write_all([
         (args.circuit_out, [emit(lowered).encode()]),
-        (args.mapping_out, [encoding.serialize(mapping)]),
+        (args.mapping_out, encoding.serialize_chunks(mapping)),
     ])
     print(f"N={dataset.size} n={mapping.n} cnots={entangler_count(lowered)}")
     return 0

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .document import load_versioned
@@ -51,11 +54,16 @@ class Dataset:
 def build_indices(N: int) -> tuple[int, tuple[str, ...]]:
     """Width n and the N address strings encoding 0..N-1 on n bits.
 
-    The last result is kept: ``AddressMap.pairs``, which ``serialize`` reads,
-    and ``deserialize`` ask for the same N in turn.
+    Each string is a high half joined to a low half of n // 2 bits, so only
+    the 2^(n // 2) low halves and the high halves in use are formatted. The
+    last result is kept: ``AddressMap.pairs``, which ``serialize`` reads, and
+    ``deserialize`` ask for the same N in turn.
     """
     n = split(N)[0]
-    return n, tuple(format(value, f"0{n}b") for value in range(N))
+    low = n // 2
+    tails = tuple(map(format, range(1 << low), repeat(f"0{low}b"))) if low else ("",)
+    heads = map(format, range(-(-N >> low)), repeat(f"0{n - low}b"))
+    return n, tuple(islice((head + tail for head in heads for tail in tails), N))
 
 
 @dataclass(frozen=True)
@@ -95,18 +103,19 @@ class AddressMap:
         """(address string, record ordinal) for every address, in address order."""
         return tuple(zip(build_indices(self.size)[1], self.ordinals))
 
+    @functools.cached_property
+    def _ordinal_at(self) -> dict[str, int]:
+        """The record ordinal at each address string, built on the first ``resolve``."""
+        return dict(zip(build_indices(self.size)[1], self.ordinals))
+
     def resolve(self, address: str) -> int:
         """Record ordinal stored at the given address string."""
-        if not isinstance(address, str):
-            raise ValueError(f"address {address!r} not in the index set")
-        if len(address) != self.n:
-            raise ValueError(f"address {address!r} has width {len(address)}, expected {self.n}")
-        # int(s, 2) alone would also take signs, spaces, underscores, "0b" and non-ASCII digits.
-        if address.isascii() and address.isdigit():
-            try:
-                return self.ordinals[int(address, 2)]
-            except (ValueError, IndexError):  # a digit 2..9, or a value of N or more
-                pass
+        if isinstance(address, str):
+            ordinal = self._ordinal_at.get(address)
+            if ordinal is not None:
+                return ordinal
+            if len(address) != self.n:
+                raise ValueError(f"address {address!r} has width {len(address)}, expected {self.n}")
         raise ValueError(f"address {address!r} not in the index set")
 
     def invert(self, ordinal: int) -> str:
@@ -124,13 +133,29 @@ def build_mapping(dataset: Dataset, seed: int) -> AddressMap:
     return AddressMap(n=split(dataset.size)[0], seed=seed, ordinals=tuple(ordinals))
 
 
+_CHUNK_PAIRS = 1 << 12
+
+
+def serialize_chunks(mapping: AddressMap) -> Iterator[bytes]:
+    """``serialize``'s bytes in pieces of at most 2^12 pairs, so no piece holds the whole text.
+
+    Reads only ``n``, ``seed``, ``size`` and ``pairs``.
+    """
+    pairs = mapping.pairs
+    yield (
+        f'{{\n  "version": {MAPPING_VERSION},\n  "N": {mapping.size},\n  "n": {mapping.n},\n'
+        f'  "seed": {mapping.seed},\n  "pairs": [\n'
+    ).encode("ascii")
+    for lo in range(0, len(pairs), _CHUNK_PAIRS):
+        body = ",\n".join([f'    [\n      "{b}",\n      {o}\n    ]'
+                            for b, o in pairs[lo:lo + _CHUNK_PAIRS]])
+        yield (f",\n{body}" if lo else body).encode("ascii")
+    yield b"\n  ]\n}\n"
+
+
 def serialize(mapping: AddressMap) -> bytes:
     """Stable bytes of the mapping document: ``json.dumps(doc, indent=2)`` and a newline."""
-    pairs = ",\n".join(f'    [\n      "{b}",\n      {o}\n    ]' for b, o in mapping.pairs)
-    return (
-        f'{{\n  "version": {MAPPING_VERSION},\n  "N": {mapping.size},\n  "n": {mapping.n},\n'
-        f'  "seed": {mapping.seed},\n  "pairs": [\n{pairs}\n  ]\n}}\n'
-    ).encode("ascii")
+    return b"".join(serialize_chunks(mapping))
 
 
 def deserialize(data: bytes | str) -> AddressMap:
@@ -146,7 +171,8 @@ def deserialize(data: bytes | str) -> AddressMap:
             raise ValueError(f"bad mapping pair: {entry!r}")
     if type(N) is not int or N != len(pairs):
         raise ValueError(f"pair count {len(pairs)} does not match N={N!r}")
-    mapping = AddressMap(n=doc["n"], seed=doc["seed"], ordinals=tuple(o for _, o in pairs))
-    if tuple(b for b, _ in pairs) != build_indices(N)[1]:
+    # zip(*pairs) would hold one list iterator per pair at once.
+    mapping = AddressMap(n=doc["n"], seed=doc["seed"], ordinals=tuple(map(itemgetter(1), pairs)))
+    if tuple(map(itemgetter(0), pairs)) != build_indices(N)[1]:
         raise ValueError(f"address strings must cover exactly 0..{N - 1}, in address order")
     return mapping

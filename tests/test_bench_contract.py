@@ -64,3 +64,4 @@ def test_serialize_reads_only_what_the_benchmark_stand_in_has():
     stand_in = SimpleNamespace(n=2, seed=0, size=4, pairs=pairs)
     doc = json.loads(encoding.serialize(stand_in))
     assert doc == {"version": 1, "N": 4, "n": 2, "seed": 0, "pairs": [list(p) for p in pairs]}
+    assert b"".join(encoding.serialize_chunks(stand_in)) == encoding.serialize(stand_in)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from superposer import analysis, simulator, synthesis
+from superposer import analysis, encoding, simulator, synthesis
 from superposer.cli import main
 from superposer.qasm import parse_qasm
 
@@ -168,6 +168,21 @@ def test_encode_end_to_end(tmp_path, capsys):
     assert mapping["N"] == 7 and mapping["n"] == 3 and mapping["seed"] == 42
     assert len(mapping["pairs"]) == 7
     assert circuit_path.read_text().startswith("OPENQASM 2.0;")
+
+
+def test_encode_writes_a_mapping_of_several_chunks_byte_for_byte(tmp_path, capsys):
+    records = tuple(b"r%d" % i for i in range(8193))
+    dataset = tmp_path / "records.txt"
+    dataset.write_bytes(b"\n".join(records) + b"\n")
+    mapping_path = tmp_path / "mapping.json"
+    assert main([
+        "encode", str(dataset), "--seed", "7",
+        "--mapping-out", str(mapping_path),
+        "--circuit-out", str(tmp_path / "circuit.qasm"),
+    ]) == 0
+    capsys.readouterr()
+    expected = encoding.serialize(encoding.build_mapping(encoding.Dataset(records), 7))
+    assert mapping_path.read_bytes() == expected
 
 
 def test_encode_is_deterministic(tmp_path, capsys):

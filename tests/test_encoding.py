@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from superposer.encoding import (
     build_mapping,
     deserialize,
     serialize,
+    serialize_chunks,
 )
 from superposer.lowering import lower
 from superposer.simulator import run
@@ -27,6 +29,28 @@ def test_build_indices_examples():
     assert build_indices(1) == (1, ("0",))
     n, bits = build_indices(8)
     assert n == 3 and len(bits) == 8
+
+
+def _digits(N, n):
+    """The n-bit strings of 0..N-1, joined into one bytes object, one bit column at a time."""
+    values = np.arange(N)
+    columns = np.empty((N, n), np.uint8)
+    for bit in range(n):
+        columns[:, n - 1 - bit] = (values >> bit) & 1
+    return (columns + ord("0")).tobytes()
+
+
+def test_build_indices_equals_formatting_each_value():
+    # N = 1 has no low half; the powers of two and their neighbours cover
+    # both parities of n, a full last high half and one holding one address.
+    assert _digits(4100, 13) == "".join(format(v, "013b") for v in range(4100)).encode()
+    sizes = [*range(1, 4101), *(N for k in range(1, 21) for N in ((1 << k) - 1, 1 << k, (1 << k) + 1))]
+    wrong = []
+    for N in sizes:
+        n, bits = build_indices(N)
+        if not (len(bits) == N and set(map(len, bits)) == {n} and "".join(bits).encode() == _digits(N, n)):
+            wrong.append(N)
+    assert wrong == []
 
 
 def test_build_indices_rejects_nonpositive():
@@ -59,6 +83,48 @@ def test_resolve_rejects_unknown_address():
         mapping.resolve("111")
     with pytest.raises(ValueError, match="width"):
         mapping.resolve("0000")
+
+
+class _Address(str):
+    pass
+
+
+def _resolve_by_the_rule(mapping, address):
+    """What resolve returns or raises: width check, then pure 0/1 digits, then value < N."""
+    if not isinstance(address, str):
+        raise ValueError(f"address {address!r} not in the index set")
+    if len(address) != mapping.n:
+        raise ValueError(f"address {address!r} has width {len(address)}, expected {mapping.n}")
+    if set(address) <= {"0", "1"} and int(address, 2) < mapping.size:
+        return mapping.ordinals[int(address, 2)]
+    raise ValueError(f"address {address!r} not in the index set")
+
+
+def _outcome(resolve, address):
+    try:
+        return "value", resolve(address)
+    except Exception as error:  # the type and text are what is compared
+        return type(error), str(error)
+
+
+@pytest.mark.parametrize("size", [1, 2, 11, 16])
+def test_resolve_follows_its_rule_on_every_address_and_malformed_input(size):
+    mapping = build_mapping(_dataset(size), seed=5)
+    n = mapping.n
+    before = (mapping == build_mapping(_dataset(size), seed=5), hash(mapping), repr(mapping))
+    addresses = [b for b, _ in mapping.pairs]
+    inputs = [
+        *addresses,
+        "", "+101", "0b10", "1_01", " 101", "-001", "\u0661\u0660\u0661\u0661",
+        "0" * (n + 1), *(format(v, f"0{n}b") for v in range(size, 1 << n)),
+        b"0101", 5, 1.0, True, None, ["0"], _Address(addresses[-1]), _Address("2" * n),
+    ]
+    for address in inputs:
+        assert _outcome(mapping.resolve, address) == _outcome(
+            lambda a: _resolve_by_the_rule(mapping, a), address
+        ), address
+    after = (mapping == build_mapping(_dataset(size), seed=5), hash(mapping), repr(mapping))
+    assert after == before
 
 
 def test_resolve_refuses_addresses_that_are_not_strings():
@@ -268,3 +334,18 @@ def test_address_map_rejects_an_int_subclass_ordinal():
 
     with pytest.raises(ValueError, match="record ordinal"):
         AddressMap(n=1, seed=0, ordinals=(Zero(0), 1))
+
+
+@pytest.mark.parametrize("size", [4095, 4096, 4097, 8193])
+def test_serialize_equals_the_json_dumps_reference_around_the_chunk_size(size):
+    mapping = build_mapping(_dataset(size), seed=11)
+    assert serialize(mapping) == _reference_bytes(mapping)
+
+
+@pytest.mark.parametrize("size", [1, 4096, 8193])
+def test_serialize_chunks_join_to_serialize_in_pieces_of_at_most_4096_pairs(size):
+    mapping = build_mapping(_dataset(size), seed=2)
+    chunks = list(serialize_chunks(mapping))
+    assert b"".join(chunks) == serialize(mapping)
+    # The header, one piece per 4096 pairs and the closing bytes.
+    assert len(chunks) == 2 + -(-size // 4096)
