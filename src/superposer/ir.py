@@ -25,35 +25,43 @@ class Level(Enum):
     LOWERED = "lowered"
 
 
+_SQRT_HALF = 1.0 / math.sqrt(2.0)
+_HADAMARD = (_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
+_SWAP = (0.0, 1.0, 1.0, 0.0)
+_FLIP = (1.0, 0.0, 0.0, -1.0)
+
+
 class GateKind(Enum):
     """A gate kind, named by ``value`` ("h", "cnot", ...), and the facts every layer reads.
 
     ``active_control``: the control bit value that makes the gate act, or None.
     ``param``: the parameter the gate takes, "angle", "prob" or None.
     ``qasm``: its OpenQASM word, or None if a lowered circuit may not hold it (``lowered``).
-    ``action``: what the gate does to each pair of amplitudes that differ in
-    the target bit: "flip" negates the one with the bit set, "swap"
-    exchanges the two and "mix" applies a real 2x2 matrix.
+    ``entries``: its target matrix (``Gate.entries``), or None where the parameter sets it.
+    ``action``: what that matrix does to each pair of amplitudes that differ
+    in the target bit: "flip" (Z's) negates the one with the bit set, "swap"
+    (X's) exchanges the two and "mix" (any other) applies it as it stands.
     """
 
-    H = ("h", None, None, "h", "mix")
-    X = ("x", None, None, "x", "swap")
-    Z = ("z", None, None, "z", "flip")
-    RY = ("ry", None, "angle", "ry", "mix")
-    G = ("g", None, "prob", None, "mix")
-    CG = ("cg", 1, "prob", None, "mix")
-    ZERO_CH = ("zero_ch", 0, None, None, "mix")
-    CNOT = ("cnot", 1, None, "cx", "swap")
-    CZ = ("cz", 1, None, "cz", "flip")
+    H = ("h", None, None, "h", _HADAMARD)
+    X = ("x", None, None, "x", _SWAP)
+    Z = ("z", None, None, "z", _FLIP)
+    RY = ("ry", None, "angle", "ry", None)
+    G = ("g", None, "prob", None, None)
+    CG = ("cg", 1, "prob", None, None)
+    ZERO_CH = ("zero_ch", 0, None, None, _HADAMARD)
+    CNOT = ("cnot", 1, None, "cx", _SWAP)
+    CZ = ("cz", 1, None, "cz", _FLIP)
 
-    def __new__(cls, value, active_control, param, qasm, action):
+    def __new__(cls, value, active_control, param, qasm, entries):
         member = object.__new__(cls)
         member._value_ = value
         member.active_control = active_control
         member.param = param
         member.qasm = qasm
         member.lowered = qasm is not None
-        member.action = action
+        member.entries = entries
+        member.action = {_FLIP: "flip", _SWAP: "swap"}.get(entries, "mix")
         return member
 
 
@@ -129,6 +137,22 @@ class Gate:
         _set_control(self, control)
         _set_angle(self, angle)
         _set_prob(self, prob)
+
+    @property
+    def entries(self) -> tuple[float, float, float, float]:
+        """(a, b, c, d) of the real matrix [[a, b], [c, d]] the gate applies to its target.
+
+        A controlled gate applies it where its control is active. RY(t) is [[c, -s], [s, c]]
+        with c = cos(t/2) and s = sin(t/2); G(p) and CG(p) take c = sqrt(p), s = sqrt(1-p).
+        """
+        if self.kind.entries is not None:
+            return self.kind.entries
+        if self.kind.param == "angle":
+            c, s = math.cos(self.angle / 2.0), math.sin(self.angle / 2.0)
+        else:
+            p = float(self.prob)
+            c, s = math.sqrt(p), math.sqrt(1.0 - p)
+        return c, -s, s, c
 
     @property
     def qubits(self) -> tuple[int, ...]:

@@ -1,7 +1,7 @@
 """Lowering of abstract gates onto {H, X, Z, RY, CNOT, CZ}.
 
 Every two-qubit abstract gate is rewritten with exactly one entangling
-gate. Convention: RY(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].
+gate. RY(t) has the matrix ``ir.Gate.entries`` states, with cos(t/2) on its diagonal.
 A probability outside [0, 1] raises ValueError with no check of its own:
 math.sqrt, math.acos or math.asin reject it, and a nan gives a nan angle,
 which Gate.ry rejects.

@@ -1,7 +1,7 @@
 """Dense statevector simulator for both circuit levels.
 
-Every gate of either level has a real matrix, so states are numpy float64
-vectors of length 2**n with qubit 0 as the most significant index bit.
+Every gate of either level has a real matrix, ``ir.Gate.entries``, so states are
+numpy float64 vectors of length 2**n with qubit 0 as the most significant index bit.
 Gates update the amplitudes in place through reshaped views that pair
 the two values of the target bit, so no 2**n x 2**n matrix is ever built.
 
@@ -49,10 +49,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import Circuit, Gate
+from .synthesis import split
 
 QUBIT_CAP = 24
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 _BLOCK_BITS = 15
 _BLOCK = 1 << _BLOCK_BITS
 # The swapped copy beats the buffered ufuncs once the pairs lie 2**11 or
@@ -94,24 +94,7 @@ def _check_width(n_qubits: int) -> None:
 def init_zero(n_qubits: int) -> StateVector:
     """The all-zeros basis state on n_qubits qubits."""
     _check_width(n_qubits)
-    amps = np.zeros(1 << n_qubits)
-    amps[0] = 1.0
-    return StateVector(amps)
-
-
-def _coefficients(gate: Gate) -> tuple[float, float, float, float]:
-    """Entries a, b, c, d of the real target matrix [[a, b], [c, d]] of a mixing gate."""
-    kind = gate.kind
-    if kind.param == "angle":
-        c = math.cos(gate.angle / 2.0)
-        s = math.sin(gate.angle / 2.0)
-        return c, -s, s, c
-    if kind.param == "prob":
-        p = float(gate.prob)
-        sp = math.sqrt(p)
-        sq = math.sqrt(1.0 - p)
-        return sp, -sq, sq, sp
-    return _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF
+    return StateVector(_widen(np.ones(1), 0, n_qubits))
 
 
 def _halves(x: np.ndarray, t: int, c: int | None, active: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +156,7 @@ def _chunk_kernel(gate: Gate, target: int, control: int | None, active: int | No
     if control is not None and control > target:
         r //= 2
     low, high, swapped = np.empty((3, _BLOCK if control is None else _BLOCK // 2))
-    a, b, c, d = _coefficients(gate)
+    a, b, c, d = gate.entries
     for pattern, first, second in ((low, a, d), (high, b, c)):
         halves = pattern.reshape(-1, 2, r)
         halves[:, 0] = first
@@ -203,8 +186,7 @@ def _buffered_kernel(gate: Gate, target: int, control: int | None, active: int |
     order="C") writes wrong values on such a view in place (numpy 2.4).
     """
     action = gate.kind.action
-    if action == "mix":
-        a, b, c, d = _coefficients(gate)
+    a, b, c, d = gate.entries
     s0, s1 = np.empty((2, _BLOCK))
 
     def kernel(unit: np.ndarray) -> None:
@@ -230,36 +212,32 @@ def _buffered_kernel(gate: Gate, target: int, control: int | None, active: int |
     return kernel
 
 
-def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, active: int | None) -> None:
-    """Apply one gate in place to every amplitude; a wide state counts every block live."""
-    if amps.size > 2 * _BLOCK:
-        _apply_wide(amps, gate, n_qubits, np.ones(amps.size >> _BLOCK_BITS, dtype=bool), active)
-        return
-    x0, x1 = _halves(amps, gate.target, gate.control, active)
-    action = gate.kind.action
-    if action == "flip":
-        x1 *= -1.0
-    elif action == "swap":
-        old0 = x0.copy()
-        x0[...] = x1
-        x1[...] = old0
-    else:
-        a, b, c, d = _coefficients(gate)
-        new0 = a * x0 + b * x1
-        x1[...] = c * x0 + d * x1
-        x0[...] = new0
+def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None,
+                   active: int | None) -> None:
+    """Apply one gate in place, where its control, if any, is ``active``.
 
-
-def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray,
-                active: int | None) -> None:
-    """Apply one gate in place to a state of more than 2**16 amplitudes, block by block.
-
-    ``live`` holds one bool per _BLOCK-aligned block, False only where the
-    block holds nothing but zeros. The gate runs on each live block, or on
-    each pair of blocks that holds a live one when its target picks the
-    block, and only where a control above the block is ``active``. A mix or
-    a swap marks the blocks it computes live; a flip leaves the map as is.
+    Up to 2**16 amplitudes the gate is three whole-array expressions. Past that,
+    ``live`` holds one bool per _BLOCK-aligned block, False only where the block
+    holds nothing but zeros, and the gate runs on each live block, or on each pair
+    of blocks that holds a live one when its target picks the block, and only where
+    a control above the block is ``active``. A mix or a swap marks the blocks it
+    computes live; a flip leaves the map as is.
     """
+    action = gate.kind.action
+    if amps.size <= 2 * _BLOCK:
+        x0, x1 = _halves(amps, gate.target, gate.control, active)
+        if action == "flip":
+            x1 *= -1.0
+        elif action == "swap":
+            old0 = x0.copy()
+            x0[...] = x1
+            x1[...] = old0
+        else:
+            a, b, c, d = gate.entries
+            new0 = a * x0 + b * x1
+            x1[...] = c * x0 + d * x1
+            x0[...] = new0
+        return
     h = n_qubits - _BLOCK_BITS
     t, c = gate.target, gate.control
     index = np.arange(live.size)
@@ -269,13 +247,13 @@ def _apply_wide(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray,
         taken = taken & (index >> (h - 1 - c) & 1 == active)
         c = None
     blocks = np.flatnonzero(taken)
-    if pair and gate.kind.action != "flip":
+    if pair and action != "flip":
         live[blocks] = live[blocks + pair] = True
     # A unit is one block, or a pair of blocks as two rows on the target;
     # its other qubits count from `first`.
     first = h - 1 if pair else h
     target, control = (0 if pair else t - first), (None if c is None else c - first)
-    chunked = gate.kind.action == "mix" and n_qubits - t - 1 <= _CHUNK_REACH_BITS
+    chunked = action == "mix" and n_qubits - t - 1 <= _CHUNK_REACH_BITS
     kernel = (_chunk_kernel if chunked else _buffered_kernel)(gate, target, control, active)
     rows = amps.reshape(-1, _BLOCK)
     for k in blocks.tolist():
@@ -291,7 +269,8 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
         if q >= state.n_qubits:
             raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
     out = state.amps.copy()
-    _apply_inplace(out, gate, state.n_qubits, gate.kind.active_control)
+    live = np.ones(out.size >> _BLOCK_BITS, dtype=bool)
+    _apply_inplace(out, gate, state.n_qubits, live, gate.kind.active_control)
     return StateVector(out)
 
 
@@ -309,7 +288,7 @@ def _widen_mixed(amps: np.ndarray, gate: Gate) -> np.ndarray:
 
     Where the gate acts, (x[i], +0.0) becomes (a*x[i] + b*0.0, c*x[i] + d*0.0), bit for bit.
     """
-    a, b, c, d = _coefficients(gate)
+    a, b, c, d = gate.entries
     out = np.empty(2 * amps.size)
     x, y = amps, out.reshape(-1, 2)
     if gate.control is not None:
@@ -360,7 +339,7 @@ def run(circuit: Circuit) -> StateVector:
     n = circuit.n_qubits
     _check_width(n)
     gates = circuit.gates
-    amps, width, register, i = np.ones(1), 0, None, 0
+    amps, width, register, live, i = np.ones(1), 0, None, None, 0
     while i < len(gates):
         gate = gates[i]
         i += 1
@@ -386,10 +365,7 @@ def run(circuit: Circuit) -> StateVector:
             else:
                 amps = _widen(amps, width, reach)
             width = reach
-        if amps.size > 2 * _BLOCK:
-            _apply_wide(amps, gate, width, live, active)
-        else:
-            _apply_inplace(amps, gate, width, active)
+        _apply_inplace(amps, gate, width, live, active)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
@@ -405,8 +381,7 @@ def uniform_distance(state: StateVector, N: int) -> float:
     Compares against the vector with amplitude 1/sqrt(N) on the first N
     basis indices and 0 elsewhere, and returns the largest |difference|.
     """
-    if type(N) is not int or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+    split(N)  # raises for anything but an int N >= 1
     if not isinstance(state, StateVector):
         raise ValueError(f"state must be a StateVector, got {type(state).__name__}")
     amps = state.amps

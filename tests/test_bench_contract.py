@@ -49,12 +49,14 @@ def test_one_op_of_each_workload_passes_its_checks(wl, name):
 
 def test_replay_applies_every_gate_kind_and_copies_the_state(wl):
     # The traced run replays its circuits through init_zero, apply and
-    # StateVector.copy, which no untraced op calls.
-    abstract = synthesize(4095)
-    totals = {}
-    wl.replay([abstract, lower(abstract)[0]], totals)
-    assert set(totals) == {kind.value for kind in GateKind} | {"copy"}
-    assert all(amps > 0 for _, amps in totals.values()), totals
+    # StateVector.copy, which no untraced op calls. Its circuits have 19 to
+    # 21 qubits; 17 already takes the block walk, 12 the whole-array path.
+    for N in (4095, (1 << 16) + 3):
+        abstract = synthesize(N)
+        totals = {}
+        wl.replay([abstract, lower(abstract)[0]], totals)
+        assert set(totals) == {kind.value for kind in GateKind} | {"copy"}, N
+        assert all(amps > 0 for _, amps in totals.values()), (N, totals)
 
 
 def test_serialize_reads_only_what_the_benchmark_stand_in_has():

@@ -130,6 +130,23 @@ def test_scan_keeps_a_temporary_whose_writer_cannot_be_signalled(tmp_path, monke
     assert temp.read_text() == "partial"
 
 
+def test_scan_never_signals_pid_0(tmp_path, monkeypatch):
+    # os.kill(0, 0) would reach the whole process group, so a temporary named
+    # for pid 0 is kept without a signal.
+    signalled = []
+
+    def kill(pid, signal):
+        signalled.append(pid)
+        raise ProcessLookupError(3, "No such process")
+
+    monkeypatch.setattr(os, "kill", kill)
+    temp = tmp_path / "rows.csv.0.tmp"
+    temp.write_text("partial")
+    assert main(["scan", "--n-max", "3", "--csv", str(tmp_path / "rows.csv")]) == 0
+    assert temp.read_text() == "partial"
+    assert 0 not in signalled
+
+
 def test_scan_rejects_bad_width(capsys):
     assert main(["scan", "--n-max", "1"]) == 1
     capsys.readouterr()

@@ -4,6 +4,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import matrix_oracle as mo
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,41 @@ def test_lowered_builder_rejects_abstract_kinds():
 def test_gate_control_must_differ_from_target():
     with pytest.raises(ValueError, match="control equals target"):
         Gate.cnot(1, 1)
+
+
+def test_gate_control_must_be_non_negative():
+    with pytest.raises(ValueError, match="control -1 must be non-negative"):
+        Gate(GateKind.CNOT, 1, control=-1)
+
+
+# Each kind's target matrix as the oracle builds it, with numpy and apart from Gate.entries.
+_ORACLE_TARGETS = {
+    GateKind.H: lambda gate: mo.H, GateKind.ZERO_CH: lambda gate: mo.H,
+    GateKind.X: lambda gate: mo.X, GateKind.CNOT: lambda gate: mo.X,
+    GateKind.Z: lambda gate: mo.Z, GateKind.CZ: lambda gate: mo.Z,
+    GateKind.RY: lambda gate: mo.ry(gate.angle),
+    GateKind.G: lambda gate: mo.g_matrix(gate.prob),
+    GateKind.CG: lambda gate: mo.g_matrix(gate.prob),
+}
+_ACTIONS = {"x": "swap", "cnot": "swap", "z": "flip", "cz": "flip"}
+
+
+def test_gate_entries_are_the_oracle_target_matrices():
+    # The simulator reads every gate's numbers from Gate.entries alone.
+    params = {
+        "angle": [{"angle": a} for a in (0.0, 0.3, -1.25, math.pi / 4, 7.0)],
+        "prob": [{"prob": p} for p in (Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                       Fraction(65537, 65539), Fraction(1))],
+        None: [{}],
+    }
+    for kind in GateKind:
+        assert kind.action == _ACTIONS.get(kind.value, "mix"), kind
+        control = None if kind.active_control is None else 0
+        for fields in params[kind.param]:
+            gate = Gate(kind, 1, control=control, **fields)
+            entries = gate.entries
+            assert len(entries) == 4 and all(type(x) is float for x in entries), gate
+            assert np.abs(np.reshape(entries, (2, 2)) - _ORACLE_TARGETS[kind](gate)).max() <= 1e-15, gate
 
 
 # The vocabulary README states, restated so the kind facts are pinned to it.

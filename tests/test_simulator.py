@@ -174,8 +174,8 @@ from superposer.ir import Circuit, Gate
 assert sys.flags.optimize
 real = simulator._apply_inplace
 
-def scaling(amps, gate, n_qubits, active):
-    real(amps, gate, n_qubits, active)
+def scaling(amps, gate, n_qubits, live, active):
+    real(amps, gate, n_qubits, live, active)
     amps *= 2.0
 
 simulator._apply_inplace = scaling
@@ -334,7 +334,7 @@ def _expression_kernel(amps, gate):
         x0[...] = x1
         x1[...] = old0
     else:
-        a, b, c, d = simulator._coefficients(gate)
+        a, b, c, d = gate.entries
         new0 = a * x0 + b * x1
         x1[...] = c * x0 + d * x1
         x0[...] = new0
@@ -402,12 +402,13 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
         # meet in the sums and their signs are compared too.
         state[rng.random(state.size) < 0.5] = 0.0
         state[rng.random(state.size) < 0.1] *= -1.0
+        all_live = np.ones(state.size // simulator._BLOCK, dtype=bool)
         for gate in _every_wide_gate(n):
             expected = state.copy()
             _expression_kernel(expected, gate)
             actual = state.copy()
             paths.clear()
-            simulator._apply_inplace(actual, gate, n, gate.kind.active_control)
+            simulator._apply_inplace(actual, gate, n, all_live, gate.kind.active_control)
             assert actual.tobytes() == expected.tobytes(), (n, gate)
             assert len(set(paths)) == 1, (n, gate, set(paths))
             seen.add((n, gate.kind, paths[0], _control_place(gate, n)))
@@ -454,7 +455,7 @@ def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
             _expression_kernel(expected, gate)
             np.copyto(actual, state)
             live = ~dead
-            simulator._apply_wide(actual, gate, n, live, gate.kind.active_control)
+            simulator._apply_inplace(actual, gate, n, live, gate.kind.active_control)
             _assert_equal_but_for_zero_signs(actual, expected, (n, gate))
             holds = actual.reshape(-1, block).any(axis=1)
             assert not (holds & ~live).any(), (n, gate, live)
@@ -509,7 +510,7 @@ def test_wide_kernels_leave_dead_blocks_untouched():
     state = np.random.default_rng(n).normal(size=1 << n)
     for gate in _every_wide_gate(n):
         amps, live = state.copy(), np.zeros(state.size // simulator._BLOCK, dtype=bool)
-        simulator._apply_wide(amps, gate, n, live, gate.kind.active_control)
+        simulator._apply_inplace(amps, gate, n, live, gate.kind.active_control)
         assert amps.tobytes() == state.tobytes(), gate
         assert not live.any(), gate
 
