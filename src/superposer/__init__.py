@@ -6,7 +6,7 @@ dense statevector simulator, tallies CNOT costs in closed form, and maps
 datasets onto the prepared index set.
 """
 
-from .analysis import Case, classify, cnot_count, resource_report, scan
+from .analysis import Case, classify, cnot_count, scan
 from .encoding import Dataset, build_indices, build_mapping, deserialize, serialize
 from .ir import Circuit, Gate
 from .lowering import lower
@@ -30,7 +30,6 @@ __all__ = [
     "emit_qasm",
     "lower",
     "parse_qasm",
-    "resource_report",
     "run",
     "scan",
     "serialize",

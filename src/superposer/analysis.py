@@ -1,8 +1,7 @@
 """Closed-form CNOT accounting, case taxonomy, and per-width scans.
 
 Everything here is integer arithmetic on N; no circuit is built or
-simulated except by ``resource_report``, which assembles one lowered
-circuit to measure its depth.
+simulated.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from enum import Enum
 from math import comb
 from typing import Iterator, NamedTuple
 
-from .ir import depth as circuit_depth
-from .lowering import lower
-from .synthesis import split, synthesize
-
-SUMMARY_FIELDS = ("n", "max", "mean")
+from .synthesis import split
 
 MIN_SCAN_N_MAX = 2
 MAX_SCAN_N_MAX = 20
@@ -70,32 +65,6 @@ def _case(n: int, xi: int, g: int) -> Case:
     if g == n:
         return Case.III
     return Case.IV
-
-
-@dataclass(frozen=True)
-class ResourceReport:
-    N: int
-    n: int
-    g: int
-    m: int
-    cnot_count: int
-    case: Case
-    depth: int
-
-
-def resource_report(N: int) -> ResourceReport:
-    """Per-N resource summary, including the lowered circuit depth."""
-    n, _, _, g, m = split(N)
-    lowered, _ = lower(synthesize(N))
-    return ResourceReport(
-        N=N,
-        n=n,
-        g=g,
-        m=m,
-        cnot_count=cnot_count(N),
-        case=classify(N),
-        depth=circuit_depth(lowered),
-    )
 
 
 class ScanRow(NamedTuple):

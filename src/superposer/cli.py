@@ -22,14 +22,10 @@ from . import analysis, document, encoding, lowering, qasm, simulator, synthesis
 from .ir import entangler_count
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +102,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     stats = analysis.scan(args.n_max)
-    lines = [",".join(analysis.SUMMARY_FIELDS)]
+    lines = ["n,max,mean"]
     lines += [f"{s.n},{s.max_count},{s.mean_count}" for s in stats.per_n]
     summary = "\n".join(lines) + "\n"
     outputs = []

@@ -118,13 +118,6 @@ class AddressMap:
                 raise ValueError(f"address {address!r} has width {len(address)}, expected {self.n}")
         raise ValueError(f"address {address!r} not in the index set")
 
-    def invert(self, ordinal: int) -> str:
-        """Address string holding the given record ordinal, found by one scan of the ordinals."""
-        # The ordinals are the ints 0..N-1; True or 1.0 would compare equal to 1.
-        if type(ordinal) is not int or not 0 <= ordinal < self.size:
-            raise ValueError(f"record ordinal {ordinal!r} not in the mapping")
-        return format(self.ordinals.index(ordinal), f"0{self.n}b")
-
 
 def build_mapping(dataset: Dataset, seed: int) -> AddressMap:
     """Assign each record a distinct address via a seeded permutation."""

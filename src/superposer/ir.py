@@ -12,7 +12,6 @@ index, so basis state |j0 j1 ... j_{n-1}> has index sum(j_k * 2**(n-1-k)).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -239,11 +238,6 @@ class Circuit:
 
     def __iter__(self):
         return iter(self.gates)
-
-
-def gate_histogram(circuit: Circuit) -> dict[GateKind, int]:
-    """Count gates by kind."""
-    return dict(Counter(gate.kind for gate in circuit.gates))
 
 
 def entangler_count(circuit: Circuit) -> int:

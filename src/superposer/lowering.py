@@ -40,7 +40,6 @@ from .ir import Circuit, Gate, Level, entangler_count
 @dataclass(frozen=True)
 class LoweringReport:
     entanglers_emitted: int
-    single_qubit_gates_emitted: int
 
 
 def lower_g(p: Fraction | float, target: int) -> list[Gate]:
@@ -69,9 +68,9 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
     """Rewrite an abstract circuit into the lowered gate set.
 
     Gates already in the lowered set pass through unchanged. The report
-    counts entanglers and single-qubit gates in the output. A CG whose
-    target an earlier gate has touched is rejected with its gate index,
-    since its one-CNOT rewrite is exact only on a |0> target.
+    counts the entanglers in the output. A CG whose target an earlier
+    gate has touched is rejected with its gate index, since its one-CNOT
+    rewrite is exact only on a |0> target.
     """
     if circuit.level is not Level.ABSTRACT:
         raise ValueError("circuit is already lowered")
@@ -98,9 +97,4 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
         if control is not None:
             touched.add(control)
     lowered = Circuit(circuit.n_qubits, tuple(gates), Level.LOWERED)
-    entanglers = entangler_count(lowered)
-    report = LoweringReport(
-        entanglers_emitted=entanglers,
-        single_qubit_gates_emitted=len(lowered) - entanglers,
-    )
-    return lowered, report
+    return lowered, LoweringReport(entangler_count(lowered))

@@ -5,13 +5,12 @@ from superposer.analysis import (
     Case,
     classify,
     cnot_count,
-    resource_report,
     scan,
     scan_rows,
 )
-from superposer.ir import entangler_count
+from superposer.ir import depth, entangler_count
 from superposer.lowering import lower
-from superposer.synthesis import plan, synthesize
+from superposer.synthesis import plan, split, synthesize
 
 
 def test_cnot_count_examples():
@@ -154,11 +153,11 @@ def test_mean_fit_needs_two_points():
 
 
 def test_resource_report():
-    report = resource_report(29)
-    assert (report.N, report.n, report.g, report.m) == (29, 5, 4, 5)
-    assert report.cnot_count == 6
-    assert report.case is Case.IV
-    assert report.depth >= 1
+    n, _, _, g, m = split(29)
+    assert (n, g, m) == (5, 4, 5)
+    assert cnot_count(29) == 6
+    assert classify(29) is Case.IV
+    assert depth(lower(synthesize(29))[0]) >= 1
 
 
 def test_scan_rows_match_plan_and_lowered_circuits():

@@ -70,11 +70,10 @@ def test_build_mapping_single_record():
     assert mapping.pairs == (("0", 0),)
 
 
-def test_resolve_and_invert_round_trip():
+def test_resolve_round_trip():
     mapping = build_mapping(_dataset(7), seed=42)
     for address, ordinal in mapping.pairs:
         assert mapping.resolve(address) == ordinal
-        assert mapping.invert(ordinal) == address
 
 
 def test_resolve_rejects_unknown_address():
@@ -141,11 +140,10 @@ def _replace_char(text, index, char):
 
 @settings(max_examples=200, deadline=None)
 @given(size=st.integers(1, 40), seed=st.integers(0, 3), data=st.data())
-def test_resolve_and_invert_agree_with_dicts_of_the_pairs(size, seed, data):
-    # Dicts built from the pairs are the reference for both lookups.
+def test_resolve_agrees_with_a_dict_of_the_pairs(size, seed, data):
+    # A dict built from the pairs is the reference for the lookup.
     mapping = build_mapping(_dataset(size), seed=seed)
     forward = dict(mapping.pairs)
-    backward = {o: b for b, o in mapping.pairs}
     chars = "01 +_b\u0660"  # int(s, 2) takes each of these in some position
     lengths = {"min_size": max(mapping.n - 1, 0), "max_size": mapping.n + 1}
     real = st.sampled_from(sorted(forward))
@@ -157,26 +155,6 @@ def test_resolve_and_invert_agree_with_dicts_of_the_pairs(size, seed, data):
     else:
         with pytest.raises(ValueError):
             mapping.resolve(address)
-    for ordinal in (*range(-1, size + 1), True, False, 1.0, 0.5):
-        if type(ordinal) is int and ordinal in backward:
-            assert mapping.invert(ordinal) == backward[ordinal]
-        else:
-            with pytest.raises(ValueError, match="not in the mapping"):
-                mapping.invert(ordinal)
-
-
-def test_invert_rejects_unknown_ordinal():
-    mapping = build_mapping(_dataset(7), seed=42)
-    with pytest.raises(ValueError):
-        mapping.invert(7)
-
-
-def test_invert_refuses_ordinals_that_are_not_ints():
-    mapping = AddressMap(n=2, seed=0, ordinals=(1, 2, 0))
-    assert mapping.invert(1) == "00"
-    for ordinal in (True, False, 1.0, "1", None):
-        with pytest.raises(ValueError, match="not in the mapping"):
-            mapping.invert(ordinal)
 
 
 def test_serialize_round_trip():

@@ -17,7 +17,6 @@ from superposer.ir import (
     Level,
     depth,
     entangler_count,
-    gate_histogram,
 )
 from superposer.lowering import lower
 from superposer.synthesis import synthesize
@@ -215,18 +214,6 @@ def test_gate_angle_must_be_finite():
         Gate.ry(0, float("nan"))
     with pytest.raises(ValueError, match="finite"):
         Gate.ry(0, 10**400)
-
-
-def test_gate_histogram_examples():
-    assert gate_histogram(synthesize(16)) == {GateKind.H: 4}
-    assert gate_histogram(synthesize(17)) == {GateKind.G: 1, GateKind.ZERO_CH: 4}
-    assert gate_histogram(synthesize(1)) == {}
-
-
-def test_gate_histogram_totals_match_length():
-    for N in (2, 7, 29, 100, 255):
-        circuit = synthesize(N)
-        assert sum(gate_histogram(circuit).values()) == len(circuit)
 
 
 def test_entangler_count_examples():

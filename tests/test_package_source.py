@@ -1,9 +1,11 @@
 """Checks on the package's source text rather than on its behaviour."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superposer"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "superposer"
 
 
 def test_package_has_no_assert_statements():
@@ -34,3 +36,29 @@ def test_only_the_simulator_imports_numpy():
         if _imports_numpy(node)
     }
     assert importers == {"simulator.py"}
+
+
+def _public_names(tree: ast.Module):
+    """Public top-level functions and classes, and the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # A name seen only at its definition is surface that nothing but a test reads.
+    sources = sorted(PACKAGE.glob("*.py"))
+    readers = (*sources, *sorted((ROOT / "bench").glob("*.py")), ROOT / "README.md")
+    texts = [path.read_text() for path in readers]
+    unused = [
+        f"{path.name}:{name}"
+        for path, text in zip(sources, texts)
+        for name in _public_names(ast.parse(text, str(path)))
+        if sum(len(re.findall(rf"\b{name}\b", other)) for other in texts) < 2
+    ]
+    assert not unused, f"public names with no caller outside the tests: {unused}"

@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SURFACE = [
     "Case", "Circuit", "Dataset", "Gate", "QasmParseError",
     "build_indices", "build_mapping", "classify", "cnot_count", "deserialize", "emit_qasm",
-    "lower", "parse_qasm", "resource_report", "run", "scan", "serialize", "synthesize",
+    "lower", "parse_qasm", "run", "scan", "serialize", "synthesize",
     "uniform_distance",
 ]
 

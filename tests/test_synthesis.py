@@ -1,11 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superposer.analysis import classify, cnot_count, resource_report
-from superposer.ir import Circuit, Gate, GateKind, gate_histogram
+from superposer.analysis import classify, cnot_count
+from superposer.ir import Circuit, Gate, GateKind
 from superposer.simulator import run, uniform_distance
 from superposer.synthesis import plan, split, synthesize
 
@@ -31,7 +32,7 @@ def test_factor_rejects_nonpositive():
 
 def test_every_n_entry_point_refuses_bools_and_non_ints():
     # split is the one N check: bool would pass as 1 or 0, a float fail in &.
-    for entry in (split, plan, synthesize, cnot_count, classify, resource_report):
+    for entry in (split, plan, synthesize, cnot_count, classify):
         for N in (True, False, 2.0, "5", Fraction(4), None):
             with pytest.raises(ValueError, match="N must be a positive integer"):
                 entry(N)
@@ -181,7 +182,7 @@ def test_synthesize_gate_structure():
     # One G, g-2 CG, m-1 ZERO_CH, xi H, whenever the odd part is nontrivial.
     for N in range(2, 513):
         pl = plan(N)
-        hist = gate_histogram(synthesize(N))
+        hist = Counter(gate.kind for gate in synthesize(N).gates)
         if pl.g == 1:
             assert hist == ({GateKind.H: pl.xi} if pl.xi else {})
         else:
