@@ -64,6 +64,10 @@ class GateKind(Enum):
         return member
 
 
+# The members in definition order, for the Gate builders.
+_H, _X, _Z, _RY, _G, _CG, _ZERO_CH, _CNOT, _CZ = GateKind
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """One gate application. Its kind's facts say which of control, angle and prob it takes.
@@ -100,8 +104,14 @@ class Gate:
         elif control is not None:
             raise ValueError(f"{kind.name} does not take a control qubit")
 
+        # One branch on the kind's parameter; a bad prob is reported before a bad angle.
         param = kind.param
-        if param == "prob":
+        if param is None:
+            if prob is not None:
+                raise ValueError(f"{kind.name} does not take a probability")
+            if angle is not None:
+                raise ValueError(f"{kind.name} does not take an angle")
+        elif param == "prob":
             if prob is None:
                 raise ValueError(f"{kind.name} requires a probability")
             if type(prob) is int:
@@ -112,10 +122,11 @@ class Gate:
             # Fraction's comparison, which costs a few us on wide numerators.
             if not 0 <= prob.numerator <= prob.denominator:
                 raise ValueError(f"prob {prob} outside [0, 1]")
-        elif prob is not None:
-            raise ValueError(f"{kind.name} does not take a probability")
-
-        if param == "angle":
+            if angle is not None:
+                raise ValueError(f"{kind.name} does not take an angle")
+        else:
+            if prob is not None:
+                raise ValueError(f"{kind.name} does not take a probability")
             if angle is None:
                 raise ValueError(f"{kind.name} requires an angle")
             if type(angle) is not float:
@@ -128,8 +139,6 @@ class Gate:
                     angle = math.inf
             if not math.isfinite(angle):
                 raise ValueError(f"angle {angle} must be finite")
-        elif angle is not None:
-            raise ValueError(f"{kind.name} does not take an angle")
 
         _set_kind(self, kind)
         _set_target(self, target)
@@ -159,41 +168,43 @@ class Gate:
             return (self.target,)
         return (self.control, self.target)
 
+    # The builders pass module-level kinds and every field positionally: on Python
+    # 3.11 a GateKind.RY lookup and a keyword call add about 0.2 us to a 0.7 us call.
     @staticmethod
     def h(target: int) -> Gate:
-        return Gate(GateKind.H, target)
+        return Gate(_H, target)
 
     @staticmethod
     def x(target: int) -> Gate:
-        return Gate(GateKind.X, target)
+        return Gate(_X, target)
 
     @staticmethod
     def z(target: int) -> Gate:
-        return Gate(GateKind.Z, target)
+        return Gate(_Z, target)
 
     @staticmethod
     def ry(target: int, angle: float) -> Gate:
-        return Gate(GateKind.RY, target, angle=angle)
+        return Gate(_RY, target, None, angle)
 
     @staticmethod
     def g(target: int, prob: Fraction) -> Gate:
-        return Gate(GateKind.G, target, prob=prob)
+        return Gate(_G, target, None, None, prob)
 
     @staticmethod
     def cg(control: int, target: int, prob: Fraction) -> Gate:
-        return Gate(GateKind.CG, target, control=control, prob=prob)
+        return Gate(_CG, target, control, None, prob)
 
     @staticmethod
     def zero_ch(control: int, target: int) -> Gate:
-        return Gate(GateKind.ZERO_CH, target, control=control)
+        return Gate(_ZERO_CH, target, control)
 
     @staticmethod
     def cnot(control: int, target: int) -> Gate:
-        return Gate(GateKind.CNOT, target, control=control)
+        return Gate(_CNOT, target, control)
 
     @staticmethod
     def cz(control: int, target: int) -> Gate:
-        return Gate(GateKind.CZ, target, control=control)
+        return Gate(_CZ, target, control)
 
 
 # The slots' own setters. The frozen class's __setattr__ refuses every write,

@@ -39,6 +39,10 @@ class QasmParseError(ValueError):
         self.column = column
         super().__init__(f"line {line}, column {column}: {message}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild an exception from its args, but __init__ takes three.
+        return type(self), (self.line, self.column, self.args[0].partition(": ")[2])
+
 
 def emit_qasm(circuit: Circuit) -> str:
     """Render a lowered circuit as OpenQASM 2.0 text."""
@@ -98,12 +102,17 @@ def parse_qasm(text: str) -> Circuit:
         at = next(i for i, ch in enumerate(text) if not ch.isascii())
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
         raise QasmParseError(line, column, f"non-ASCII character {text[at]!r}")
-    lines = [(i + 1, raw) for i, raw in enumerate(text.split("\n")) if raw.strip()]
-    lineno = 0
-    for i, (accept, message) in enumerate(_PREAMBLE):
-        if i == len(lines):
+    # One walk over the lines: the preamble takes the first three that are not
+    # blank, and the statements the rest.
+    lines = enumerate(text.split("\n"), 1)
+    lineno = 0  # the last line that is not blank
+    for accept, message in _PREAMBLE:
+        for i, raw in lines:
+            if raw.strip():
+                lineno = i
+                break
+        else:
             raise QasmParseError(lineno + 1, 1, message)
-        lineno, raw = lines[i]
         qreg = accept(raw)
         if not qreg:
             raise QasmParseError(lineno, _first_word(raw)[1], message)
@@ -121,9 +130,11 @@ def parse_qasm(text: str) -> Circuit:
     statement = re.compile(rf"{_WORD_RE.pattern}(?:\s*\(\s*([^)]*)\))?\s+{operand}"
                            rf"(?:\s*,\s*{operand})?\s*;\s*$")
     gates: list[Gate] = []
-    for lineno, raw in lines[3:]:
+    for lineno, raw in lines:
         match = statement.match(raw)
         if match is None:
+            if not raw.strip():  # the grammar needs a word, so no blank line matches
+                continue
             raise _statement_error(lineno, raw)
         word, angle_text, first, second = match.groups()
         kind = _KINDS.get(word)

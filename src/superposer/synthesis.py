@@ -10,8 +10,10 @@ g is the number of set bits of N and m the bit width of M.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ir import Circuit, Gate
 
@@ -44,6 +46,20 @@ class SynthesisPlan:
     p: tuple[Fraction, ...]
 
 
+class _LowestTerms(NamedTuple):
+    """A numerator and a positive denominator with no common factor.
+
+    Registered as a numbers.Rational, whose numerator and denominator are
+    in lowest terms by contract, so Fraction copies the pair without a gcd.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_LowestTerms)
+
+
 def split(N: int) -> tuple[int, int, int, int, int]:
     """The N arithmetic every module reads: (n, xi, M, g, m) for N >= 1.
 
@@ -63,7 +79,8 @@ def plan(N: int) -> SynthesisPlan:
     """Compute the full arithmetic decomposition for N.
 
     One pass over the set bits of M above bit 0, from the top down, yields
-    k and p together; for M == 1 there are none, so both are empty.
+    k and p together; for M == 1 there are none, so both are empty. The
+    remainder stays odd, so each 2**k / remainder is in lowest terms.
     """
     n, xi, M, g, m = split(N)
     k: list[int] = []
@@ -72,7 +89,7 @@ def plan(N: int) -> SynthesisPlan:
     for i in range(m - 1, 0, -1):
         if M >> i & 1:
             k.append(i)
-            p.append(Fraction(1 << i, remaining))
+            p.append(Fraction(_LowestTerms(1 << i, remaining)))
             remaining -= 1 << i
     return SynthesisPlan(N=N, n=n, xi=xi, M=M, m=m, g=g, k=tuple(k), p=tuple(p))
 

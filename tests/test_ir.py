@@ -19,6 +19,7 @@ from superposer.ir import (
     entangler_count,
 )
 from superposer.lowering import lower
+from superposer.qasm import QasmParseError, parse_qasm
 from superposer.synthesis import synthesize
 
 
@@ -326,6 +327,56 @@ def test_gate_survives_pickle_and_copy(gate):
         assert other == gate
         assert hash(other) == hash(gate)
         assert repr(other) == repr(gate)
+
+
+def test_qasm_parse_error_survives_pickle_and_copy():
+    with pytest.raises(QasmParseError) as info:
+        parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n  ry(1: 2) q[0];\n')
+    err = info.value
+    assert (err.line, err.column, str(err)) == (4, 6, "line 4, column 6: bad angle '1: 2'")
+    for other in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(other) is QasmParseError
+        assert (other.line, other.column, str(other), other.args) == (
+            err.line, err.column, str(err), err.args)
+
+
+_BUILDERS = [
+    (Gate.h, GateKind.H, ("target",)),
+    (Gate.x, GateKind.X, ("target",)),
+    (Gate.z, GateKind.Z, ("target",)),
+    (Gate.ry, GateKind.RY, ("target", "angle")),
+    (Gate.g, GateKind.G, ("target", "prob")),
+    (Gate.cg, GateKind.CG, ("control", "target", "prob")),
+    (Gate.zero_ch, GateKind.ZERO_CH, ("control", "target")),
+    (Gate.cnot, GateKind.CNOT, ("control", "target")),
+    (Gate.cz, GateKind.CZ, ("control", "target")),
+]
+_BUILDER_INPUTS = [
+    {}, {"target": True}, {"target": -1}, {"control": 3}, {"control": True},
+    {"angle": 2}, {"angle": math.inf}, {"angle": math.nan}, {"angle": True},
+    {"prob": 1}, {"prob": 0.5}, {"prob": 2}, {"prob": Fraction(3, 2)},
+]
+
+
+def _outcome(build, *args, **kwargs):
+    """Each field with its type, or the exception's type and message."""
+    try:
+        gate = build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(getattr(gate, f.name), type(getattr(gate, f.name))) for f in dataclasses.fields(Gate)]
+
+
+@pytest.mark.parametrize("builder, kind, names", _BUILDERS, ids=[k.name for _, k, _ in _BUILDERS])
+def test_builders_match_the_keyword_constructor(builder, kind, names):
+    base = {"control": 1, "target": 3, "angle": 0.5, "prob": Fraction(1, 3)}
+    cases = [change for change in _BUILDER_INPUTS if set(change) <= set(names)]
+    assert len(cases) > 2
+    for change in cases:
+        values = {**base, **change}
+        args = [values[name] for name in names]
+        expected = _outcome(Gate, kind=kind, **{name: values[name] for name in names})
+        assert _outcome(builder, *args) == expected, change
 
 
 def test_keyword_construction_and_replace_run_every_check():

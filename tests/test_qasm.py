@@ -112,6 +112,40 @@ def test_missing_qreg():
     _expect_error('OPENQASM 2.0;\ninclude "qelib1.inc";\n', 3, match="qreg")
 
 
+_P, _I, _Q = "OPENQASM 2.0;", 'include "qelib1.inc";', "qreg q[2];"
+
+
+# A line is blank when str.strip() leaves nothing. A missing preamble line is
+# reported one line past the last line that is not blank.
+@pytest.mark.parametrize(
+    "lines, line, column, message",
+    [
+        (["", "  \t", "OPENQASM 3.0;"], 3, 1, "missing 'OPENQASM 2.0;' header"),
+        (["  ", "", ""], 1, 1, "missing 'OPENQASM 2.0;' header"),
+        ([_P, "", " \t ", ""], 2, 1, "expected 'include \"qelib1.inc\";'"),
+        ([_P, "", "  include qelib1.inc;"], 3, 3, "expected 'include \"qelib1.inc\";'"),
+        (["", _P, "  ", _I, "", "\t"], 5, 1, "expected a qreg declaration"),
+        (["", _P, " ", _I, "", "   qreg q[0];"], 6, 11, "register must hold at least 1 qubit"),
+        (["", " ", _P, "", _I, "  ", _Q, "", "qreg r[1];"], 9, 1, "duplicate qreg declaration"),
+        ([_P, _I, _Q, "", "h q[0];", "  ", "\t", "  cx q[0],q[2];"], 8, 13,
+         "qubit 2 out of range for q[2]"),
+        ([_P, _I, _Q, "h q[0];", "", " foo q[1];"], 6, 2, "gate 'foo' outside the supported subset"),
+        ([_P + "\r", "\r", _I + "\r", " \r", _Q + "\r", "\r", "ry(x) q[1];\r"], 7, 4,
+         "bad angle 'x'"),
+    ],
+)
+def test_positions_count_blank_lines(lines, line, column, message):
+    with pytest.raises(QasmParseError) as info:
+        parse_qasm("\n".join(lines) + "\n")
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+def test_blank_lines_anywhere_are_skipped():
+    lines = ["\t", _P, "", _I, "  ", _Q, "", "h q[1];", " ", "\x0c", "cz q[0],q[1];", "", ""]
+    assert parse_qasm("\n".join(lines)) == Circuit(2, (Gate.h(1), Gate.cz(0, 1)), Level.LOWERED)
+
+
 def test_zero_width_register_rejected():
     _expect_error(
         'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[0];\n',

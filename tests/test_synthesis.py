@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -123,6 +124,23 @@ def test_plan_examples():
     pl30 = plan(30)
     assert (pl30.n, pl30.xi, pl30.M, pl30.m, pl30.g) == (5, 1, 15, 4, 4)
     assert pl30.p == (Fraction(8, 15), Fraction(4, 7), Fraction(2, 3))
+
+
+def test_plan_probabilities_are_the_reduced_fractions():
+    rng = random.Random(23)
+    wide = [rng.getrandbits(b - 1) | 1 << (b - 1) for b in (64, 512, 2048, 4000)]
+    edges = [(1 << b) + d for b in (*range(1, 66), 127, 128, 512, 2048, 4000) for d in (-1, 1)]
+    for N in [*range(1, 4097), *edges, *wide]:
+        pl = plan(N)
+        remaining = pl.M
+        for k, p in zip(pl.k, pl.p, strict=True):
+            expected = Fraction(1 << k, remaining)
+            assert type(p) is Fraction
+            assert (p.numerator, p.denominator) == (expected.numerator, expected.denominator)
+            assert type(p.numerator) is int and type(p.denominator) is int
+            assert hash(p) == hash(expected)
+            remaining -= 1 << k
+        assert remaining == 1, N
 
 
 def test_plan_width_splits_between_odd_part_and_hadamard_layer():
