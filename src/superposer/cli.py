@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -85,6 +86,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise ValueError(f"argument --tolerance: must be a finite number >= 0, got {args.tolerance:g}")
     n = synthesis.split(args.N)[0]
     if n > simulator.QUBIT_CAP:
         raise ValueError(f"N={args.N} needs {n} qubits, above the {simulator.QUBIT_CAP}-qubit cap")

@@ -12,6 +12,7 @@ index, so basis state |j0 j1 ... j_{n-1}> has index sum(j_k * 2**(n-1-k)).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -247,9 +248,6 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    def __iter__(self):
-        return iter(self.gates)
-
 
 def entangler_count(circuit: Circuit) -> int:
     """Number of two-qubit entangling gates, at either level.
@@ -261,8 +259,12 @@ def entangler_count(circuit: Circuit) -> int:
 
 
 def depth(circuit: Circuit) -> int:
-    """Circuit depth under greedy as-early-as-possible layering."""
-    frontier = [0] * circuit.n_qubits
+    """Circuit depth under greedy as-early-as-possible layering.
+
+    The frontier holds only the qubits the gates name, so a wide register
+    declared for a few gates costs no memory for the rest.
+    """
+    frontier = defaultdict(int)
     for gate in circuit.gates:
         target, control = gate.target, gate.control
         if control is None:
@@ -270,4 +272,4 @@ def depth(circuit: Circuit) -> int:
         else:
             layer = max(frontier[target], frontier[control]) + 1
             frontier[target] = frontier[control] = layer
-    return max(frontier)
+    return max(frontier.values(), default=0)

@@ -2,9 +2,8 @@
 
 Every two-qubit abstract gate is rewritten with exactly one entangling
 gate. RY(t) has the matrix ``ir.Gate.entries`` states, with cos(t/2) on its diagonal.
-A probability outside [0, 1] raises ValueError with no check of its own:
-math.sqrt, math.acos or math.asin reject it, and a nan gives a nan angle,
-which Gate.ry rejects.
+
+Probability rotation G(p): RY(2 acos(sqrt(p))), exact, with no entangler.
 
 Controlled rotation CG(p), control active on |1>:
 
@@ -32,36 +31,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .ir import Circuit, Gate, Level, entangler_count
+
+_QUARTER = math.pi / 4.0
 
 
 @dataclass(frozen=True)
 class LoweringReport:
     entanglers_emitted: int
-
-
-def lower_g(p: Fraction | float, target: int) -> list[Gate]:
-    """G(p) = RY(2 acos sqrt(p)), exactly, with no entangler."""
-    return [Gate.ry(target, 2.0 * math.acos(math.sqrt(p)))]
-
-
-def lower_cg(p: Fraction | float, control: int, target: int) -> list[Gate]:
-    """One-CNOT rewrite of CG(p), exact on |0> targets (see module doc)."""
-    a = math.asin(math.sqrt(p))
-    return [Gate.ry(target, a), Gate.cnot(control, target), Gate.ry(target, -a)]
-
-
-def lower_zero_ch(control: int, target: int) -> list[Gate]:
-    """One-CZ rewrite of the zero-controlled Hadamard, exact everywhere."""
-    quarter = math.pi / 4.0
-    return [
-        Gate.ry(target, -quarter),
-        Gate.cz(control, target),
-        Gate.z(target),
-        Gate.ry(target, quarter),
-    ]
 
 
 def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
@@ -83,16 +61,18 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
         if kind.lowered:
             gates.append(gate)
         elif kind.param != "prob":
-            gates += lower_zero_ch(control, target)
+            gates += (Gate.ry(target, -_QUARTER), Gate.cz(control, target),
+                      Gate.z(target), Gate.ry(target, _QUARTER))
         elif control is None:
-            gates += lower_g(gate.prob, target)
+            gates.append(Gate.ry(target, 2.0 * math.acos(math.sqrt(gate.prob))))
         else:
             if target in touched:
                 raise ValueError(
                     f"gate {i}: CG target {target} was touched by an earlier gate, "
                     "but its one-CNOT rewrite needs the target in |0>"
                 )
-            gates += lower_cg(gate.prob, control, target)
+            a = math.asin(math.sqrt(gate.prob))
+            gates += (Gate.ry(target, a), Gate.cnot(control, target), Gate.ry(target, -a))
         touched.add(target)
         if control is not None:
             touched.add(control)

@@ -14,8 +14,8 @@ import matrix_oracle as mo
 import scan_oracle
 from superposer import analysis, encoding
 from superposer.cli import main as cli_main
-from superposer.ir import GateKind, entangler_count
-from superposer.lowering import lower, lower_cg, lower_zero_ch
+from superposer.ir import Circuit, Gate, GateKind, entangler_count
+from superposer.lowering import lower
 from superposer.qasm import emit_qasm, parse_qasm
 from superposer.simulator import run, uniform_distance
 from superposer.synthesis import synthesize
@@ -145,7 +145,7 @@ def test_criterion_06_mean_count_trend(scan_facts):
 
 
 def test_criterion_07_rewrites_match_ideal_matrices():
-    zero_ch = lower_zero_ch(0, 1)
+    zero_ch = lower(Circuit(2, [Gate.zero_ch(0, 1)]))[0].gates
     zero_ch_error = float(np.max(np.abs(mo.sequence_matrix(zero_ch) - mo.zero_ch_ideal())))
     entangler_kinds = (GateKind.CNOT, GateKind.CZ)
     ok = zero_ch_error <= 1e-12
@@ -154,7 +154,7 @@ def test_criterion_07_rewrites_match_ideal_matrices():
     rng = np.random.default_rng(20240817)
     for _ in range(100):
         p = Fraction(int(rng.integers(1, 10**6)), 10**6)
-        gates = lower_cg(p, 0, 1)
+        gates = lower(Circuit(2, [Gate.cg(0, 1, p)]))[0].gates
         ok = ok and sum(1 for g in gates if g.kind in entangler_kinds) == 1
         u = mo.sequence_matrix(gates)
         ideal = mo.cg_ideal(p)

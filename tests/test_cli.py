@@ -60,6 +60,20 @@ def test_verify_fails_under_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tolerance, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("-1", "-1"), ("1e400", "inf")])
+def test_verify_refuses_a_tolerance_that_is_not_a_finite_number_at_least_0(tolerance, shown, capsys):
+    assert main(["verify", "7", f"--tolerance={tolerance}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument --tolerance: must be a finite number >= 0, got {shown}\n"
+
+
+def test_verify_takes_a_zero_tolerance(capsys):
+    assert main(["verify", "7", "--tolerance", "0"]) == 2
+    assert capsys.readouterr().out.endswith("FAIL (tolerance 0)\n")
+
+
 def test_verify_rejects_widths_above_the_cap(capsys):
     assert main(["verify", str(2**24 + 1)]) == 1
     assert "cap" in capsys.readouterr().err

@@ -236,7 +236,7 @@ def test_entangler_count_is_preserved_by_lowering():
 
 def test_circuits_compare_by_value():
     assert synthesize(7) == synthesize(7)
-    assert tuple(synthesize(29)) == tuple(synthesize(29))
+    assert synthesize(29).gates == synthesize(29).gates
     assert synthesize(7) != synthesize(11)
 
 
@@ -277,6 +277,11 @@ def _circuits(draw):
 @given(_circuits())
 def test_depth_equals_the_generator_formula(circuit):
     assert depth(circuit) == _reference_depth(circuit)
+
+
+def test_depth_of_a_wide_register_costs_only_the_qubits_its_gates_name():
+    text = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1000000000000000];\nh q[3];\n'
+    assert depth(parse_qasm(text)) == 1
 
 
 @pytest.mark.parametrize(

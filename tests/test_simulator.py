@@ -201,7 +201,7 @@ def test_run_checks_the_norm_under_python_O():
 def test_run_preserves_norm_gate_by_gate():
     state = init_zero(3)
     lowered, _ = lower(synthesize(6))
-    for gate in lowered:
+    for gate in lowered.gates:
         state = apply(state, gate)
         assert np.linalg.norm(state.amps) == pytest.approx(1.0, abs=1e-10)
 

@@ -155,7 +155,7 @@ def test_plan_width_splits_between_odd_part_and_hadamard_layer():
 def test_synthesize_n2_is_a_single_hadamard():
     circuit = synthesize(2)
     assert circuit.n_qubits == 1
-    assert [(g.kind, g.target) for g in circuit] == [(GateKind.H, 0)]
+    assert [(g.kind, g.target) for g in circuit.gates] == [(GateKind.H, 0)]
 
 
 def test_synthesize_n7_exact_gate_list():
@@ -214,14 +214,14 @@ def test_cg_gates_always_target_untouched_qubits():
     # This is what licenses the one-CNOT lowering of CG.
     for N in range(2, 1025):
         touched = set()
-        for gate in synthesize(N):
+        for gate in synthesize(N).gates:
             if gate.kind is GateKind.CG:
                 assert gate.target not in touched
             touched.update(gate.qubits)
 
 
 def test_probabilities_stay_exact():
-    for gate in synthesize(29):
+    for gate in synthesize(29).gates:
         if gate.prob is not None:
             assert isinstance(gate.prob, Fraction)
 
