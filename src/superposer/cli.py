@@ -44,6 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (qasm requires --lower)",
     )
     synth.add_argument("-o", "--output", metavar="PATH", help="write here instead of stdout")
+    synth.set_defaults(handler=cmd_synth)
 
     verify = sub.add_parser("verify", help="simulate and check uniformity for N")
     verify.add_argument("N", type=int)
@@ -51,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=1e-10,
         help="max allowed amplitude deviation (default 1e-10)",
     )
+    verify.set_defaults(handler=cmd_verify)
 
     scan = sub.add_parser("scan", help="CNOT statistics for all widths up to n-max")
     scan.add_argument("--n-max", type=int, required=True, metavar="N_MAX",
@@ -58,6 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--csv", metavar="PATH", help="write the per-N rows here")
     scan.add_argument("--summary", metavar="PATH",
                       help="write the per-n summary here (default stdout)")
+    scan.set_defaults(handler=cmd_scan)
 
     encode = sub.add_parser("encode", help="address a newline-delimited record file")
     encode.add_argument("dataset", metavar="PATH")
@@ -65,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     encode.add_argument("--mapping-out", required=True, metavar="PATH")
     encode.add_argument("--circuit-out", required=True, metavar="PATH",
                         help="lowered circuit; .qasm suffix selects QASM output")
+    encode.set_defaults(handler=cmd_encode)
     return parser
 
 
@@ -109,7 +113,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lines += [f"{s.n},{s.max_count},{s.mean_count}" for s in stats.per_n]
     summary = "\n".join(lines) + "\n"
     outputs = []
-    if args.csv:
+    if args.csv is not None:
         outputs.append((args.csv, _csv_rows(args.n_max)))
     if args.summary is not None:
         outputs.append((args.summary, [summary.encode()]))
@@ -197,19 +201,11 @@ def cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "verify": cmd_verify,
-    "scan": cmd_scan,
-    "encode": cmd_encode,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

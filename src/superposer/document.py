@@ -25,6 +25,8 @@ def emit_document(circuit: Circuit) -> str:
     kind's name is read as ``_value_``, a plain attribute, not through the
     slower ``value`` property.
     """
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     entries = []
     for gate in circuit.gates:
         entry = f'    {{\n      "kind": "{gate.kind._value_}",\n      "target": {gate.target}'
@@ -72,14 +74,14 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
 def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) -> dict:
     """Parse a JSON object whose top level holds exactly ``version`` and ``keys``.
 
-    Anything else raises ValueError: text that is not a JSON object (nesting
-    too deep and ints past Python's digit limit included), a version other
-    than the int ``version``, or a missing or unknown key. The values under
-    ``keys`` are left to the caller.
+    Anything else raises ValueError: text that is not a JSON object (input
+    that is not text, nesting too deep and ints past Python's digit limit
+    included), a version other than the int ``version``, or a missing or
+    unknown key. The values under ``keys`` are left to the caller.
     """
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed {name} document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {name} document: expected a JSON object")

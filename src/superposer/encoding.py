@@ -32,9 +32,21 @@ class Dataset:
     records: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        if not self.records:
+        records = self.records
+        # A str or bytes is itself a collection, of characters or of ints.
+        if isinstance(records, (str, bytes, bytearray)):
+            raise ValueError(
+                f"records must be a collection of bytes, got a {type(records).__name__} object")
+        try:
+            records = tuple(records)
+        except TypeError:
+            raise ValueError(f"records must be a collection of bytes, got {records!r}") from None
+        if not records:
             raise ValueError("dataset is empty")
+        for i, record in enumerate(records):
+            if type(record) is not bytes:
+                raise ValueError(f"record {i}: expected bytes, got {type(record).__name__}")
+        object.__setattr__(self, "records", records)
 
     @property
     def size(self) -> int:

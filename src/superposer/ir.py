@@ -255,6 +255,8 @@ def entangler_count(circuit: Circuit) -> int:
     Every two-qubit gate costs exactly one entangler: CNOT and CZ are one,
     and lowering rewrites each CG and ZERO_CH with exactly one of them.
     """
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     return sum(1 for gate in circuit.gates if gate.kind.active_control is not None)
 
 
@@ -264,6 +266,8 @@ def depth(circuit: Circuit) -> int:
     The frontier holds only the qubits the gates name, so a wide register
     declared for a few gates costs no memory for the rest.
     """
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     frontier = defaultdict(int)
     for gate in circuit.gates:
         target, control = gate.target, gate.control

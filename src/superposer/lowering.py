@@ -50,6 +50,8 @@ def lower(circuit: Circuit) -> tuple[Circuit, LoweringReport]:
     gate has touched is rejected with its gate index, since its one-CNOT
     rewrite is exact only on a |0> target.
     """
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     if circuit.level is not Level.ABSTRACT:
         raise ValueError("circuit is already lowered")
     gates: list[Gate] = []

@@ -37,15 +37,16 @@ class QasmParseError(ValueError):
     def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
-        super().__init__(f"line {line}, column {column}: {message}")
+        super().__init__(line, column, message)
 
-    def __reduce__(self):
-        # pickle and copy rebuild an exception from its args, but __init__ takes three.
-        return type(self), (self.line, self.column, self.args[0].partition(": ")[2])
+    def __str__(self) -> str:
+        return "line {}, column {}: {}".format(*self.args)
 
 
 def emit_qasm(circuit: Circuit) -> str:
     """Render a lowered circuit as OpenQASM 2.0 text."""
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     if circuit.level is not Level.LOWERED:
         raise ValueError("only lowered circuits can be emitted as QASM")
     lines = [_HEADER, _INCLUDE, f"qreg q[{circuit.n_qubits}];"]
@@ -98,6 +99,8 @@ def _operand_error(lineno: int, match: re.Match, register: str, n_qubits: int) -
 
 def parse_qasm(text: str) -> Circuit:
     """Parse subset QASM into a lowered circuit."""
+    if not isinstance(text, str):
+        raise ValueError(f"QASM text must be a str, got {type(text).__name__}")
     if not text.isascii():
         at = next(i for i, ch in enumerate(text) if not ch.isascii())
         line, column = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)

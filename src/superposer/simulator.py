@@ -84,17 +84,9 @@ class StateVector:
         return StateVector(self.amps.copy())
 
 
-def _check_width(n_qubits: int) -> None:
-    if type(n_qubits) is not int:
-        raise ValueError(f"qubit count must be an integer, got {n_qubits!r}")
-    if not 1 <= n_qubits <= QUBIT_CAP:
-        raise ValueError(f"qubit count {n_qubits} outside 1..{QUBIT_CAP}")
-
-
 def init_zero(n_qubits: int) -> StateVector:
     """The all-zeros basis state on n_qubits qubits."""
-    _check_width(n_qubits)
-    return StateVector(_widen(np.ones(1), 0, n_qubits))
+    return run(Circuit(n_qubits, ()))
 
 
 def _halves(x: np.ndarray, t: int, c: int | None, active: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -336,8 +328,11 @@ def _live_blocks(amps: np.ndarray, spread: int) -> np.ndarray:
 
 def run(circuit: Circuit) -> StateVector:
     """Simulate the circuit from the all-zeros state."""
+    if not isinstance(circuit, Circuit):
+        raise ValueError(f"circuit must be a Circuit, got {type(circuit).__name__}")
     n = circuit.n_qubits
-    _check_width(n)
+    if n > QUBIT_CAP:
+        raise ValueError(f"qubit count {n} outside 1..{QUBIT_CAP}")
     gates = circuit.gates
     amps, width, register, live, i = np.ones(1), 0, None, None, 0
     while i < len(gates):

@@ -325,6 +325,24 @@ def test_outputs_must_be_regular_files(tmp_path, capsys):
     assert list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "7", "-o", ""],
+    ["scan", "--n-max", "3", "--csv", ""],
+    ["scan", "--n-max", "3", "--summary", ""],
+    ["encode", "{records}", "--mapping-out", "", "--circuit-out", "{out}"],
+], ids=["synth", "scan-csv", "scan-summary", "encode-mapping"])
+def test_an_empty_output_path_is_refused(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    records = tmp_path / "records.txt"
+    records.write_bytes(b"a\nb\nc\n")
+    argv = [arg.format(records=records, out=tmp_path / "c.qasm") for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output {str(tmp_path)!r} is not a regular file\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["records.txt"]
+
+
 def test_encode_renames_the_circuit_into_place_before_the_mapping(tmp_path, capsys, monkeypatch):
     dataset = tmp_path / "records.txt"
     dataset.write_bytes(b"a\nb\nc\n")

@@ -228,6 +228,20 @@ def test_dataset_from_path(tmp_path):
     assert dataset.records[-1] == b"M"
 
 
+@pytest.mark.parametrize("records, message", [
+    (b"abc", "collection of bytes, got a bytes object"),
+    ("abc", "collection of bytes, got a str object"),
+    (bytearray(b"abc"), "collection of bytes, got a bytearray object"),
+    (5, "collection of bytes, got 5"),
+    ([1, 2], "record 0: expected bytes, got int"),
+    ((b"a", "b"), "record 1: expected bytes, got str"),
+    ((b"a", b"b", bytearray(b"c")), "record 2: expected bytes, got bytearray"),
+])
+def test_dataset_holds_only_bytes_records(records, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(records)
+
+
 def test_dataset_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_bytes(b"")

@@ -1,4 +1,5 @@
-"""Mutated parser input raises ValueError (QasmParseError is one), nothing else."""
+"""Mutated parser input, and input of the wrong type, raises ValueError
+(QasmParseError is one), nothing else."""
 
 import re
 
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from superposer.document import emit_document, parse_document
 from superposer.encoding import Dataset, build_mapping, deserialize, serialize
+from superposer.ir import depth, entangler_count
 from superposer.lowering import lower
 from superposer.qasm import emit_qasm, parse_qasm
+from superposer.simulator import run
 from superposer.synthesis import synthesize
 
 _SIZES = (3, 7, 29, 100)
@@ -72,3 +75,19 @@ def test_mutated_text_raises_only_value_errors(texts, parse, data):
 def test_deep_nesting_is_a_malformed_document(parse):
     with pytest.raises(ValueError, match="malformed"):
         parse("[" * 100000)
+
+
+@pytest.mark.parametrize("call, value, message", [
+    (parse_qasm, b"OPENQASM 2.0;", "QASM text must be a str, got bytes"),
+    (parse_qasm, None, "QASM text must be a str, got NoneType"),
+    (parse_document, None, "malformed circuit document"),
+    (parse_document, 123, "malformed circuit document"),
+    (deserialize, 123, "malformed mapping document"),
+    (deserialize, None, "malformed mapping document"),
+    *[(call, value, f"circuit must be a Circuit, got {type(value).__name__}")
+      for call in (run, lower, emit_qasm, emit_document, depth, entangler_count)
+      for value in (None, "OPENQASM 2.0;")],
+])
+def test_input_of_the_wrong_type_raises_a_value_error(call, value, message):
+    with pytest.raises(ValueError, match=message):
+        call(value)

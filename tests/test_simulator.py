@@ -43,7 +43,7 @@ def test_init_zero_enforces_cap():
 
 @pytest.mark.parametrize("width", [True, 2.0, "3"])
 def test_init_zero_refuses_a_width_that_is_not_an_int(width):
-    with pytest.raises(ValueError, match="qubit count must be an integer"):
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
         init_zero(width)
 
 
