@@ -73,12 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.format == "qasm" and not args.lower:
+        raise ValueError("qasm output requires --lower")
     circuit = synthesis.synthesize(args.N)
     if args.lower:
         circuit, _ = lowering.lower(circuit)
     if args.format == "qasm":
-        if not args.lower:
-            raise ValueError("qasm output requires --lower")
         text = qasm.emit_qasm(circuit)
     else:
         text = document.emit_document(circuit)

@@ -133,6 +133,11 @@ class AddressMap:
 
 def build_mapping(dataset: Dataset, seed: int) -> AddressMap:
     """Assign each record a distinct address via a seeded permutation."""
+    if not isinstance(dataset, Dataset):
+        raise ValueError(f"dataset must be a Dataset, got {type(dataset).__name__}")
+    # bool is a subclass of int, so the seed needs an exact type check.
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     ordinals = list(range(dataset.size))
     random.Random(seed).shuffle(ordinals)
     return AddressMap(n=split(dataset.size)[0], seed=seed, ordinals=tuple(ordinals))
@@ -146,10 +151,13 @@ def serialize_chunks(mapping: AddressMap) -> Iterator[bytes]:
 
     Reads only ``n``, ``seed``, ``size`` and ``pairs``.
     """
-    pairs = mapping.pairs
+    try:
+        pairs, N, n, seed = mapping.pairs, mapping.size, mapping.n, mapping.seed
+    except AttributeError:
+        raise ValueError(f"mapping must be an AddressMap, got {type(mapping).__name__}") from None
     yield (
-        f'{{\n  "version": {MAPPING_VERSION},\n  "N": {mapping.size},\n  "n": {mapping.n},\n'
-        f'  "seed": {mapping.seed},\n  "pairs": [\n'
+        f'{{\n  "version": {MAPPING_VERSION},\n  "N": {N},\n  "n": {n},\n'
+        f'  "seed": {seed},\n  "pairs": [\n'
     ).encode("ascii")
     for lo in range(0, len(pairs), _CHUNK_PAIRS):
         body = ",\n".join([f'    [\n      "{b}",\n      {o}\n    ]'

@@ -105,14 +105,9 @@ class Gate:
         elif control is not None:
             raise ValueError(f"{kind.name} does not take a control qubit")
 
-        # One branch on the kind's parameter; a bad prob is reported before a bad angle.
+        # A bad prob is reported before a bad angle.
         param = kind.param
-        if param is None:
-            if prob is not None:
-                raise ValueError(f"{kind.name} does not take a probability")
-            if angle is not None:
-                raise ValueError(f"{kind.name} does not take an angle")
-        elif param == "prob":
+        if param == "prob":
             if prob is None:
                 raise ValueError(f"{kind.name} requires a probability")
             if type(prob) is int:
@@ -123,11 +118,9 @@ class Gate:
             # Fraction's comparison, which costs a few us on wide numerators.
             if not 0 <= prob.numerator <= prob.denominator:
                 raise ValueError(f"prob {prob} outside [0, 1]")
-            if angle is not None:
-                raise ValueError(f"{kind.name} does not take an angle")
-        else:
-            if prob is not None:
-                raise ValueError(f"{kind.name} does not take a probability")
+        elif prob is not None:
+            raise ValueError(f"{kind.name} does not take a probability")
+        if param == "angle":
             if angle is None:
                 raise ValueError(f"{kind.name} requires an angle")
             if type(angle) is not float:
@@ -140,6 +133,8 @@ class Gate:
                     angle = math.inf
             if not math.isfinite(angle):
                 raise ValueError(f"angle {angle} must be finite")
+        elif angle is not None:
+            raise ValueError(f"{kind.name} does not take an angle")
 
         _set_kind(self, kind)
         _set_target(self, target)

@@ -12,10 +12,11 @@ higher qubit, the state widens by interleaving zeros, and it widens to
 the full register at the end. Past 2**16 amplitudes the state is the
 prefix of one 2**n register, which ``run`` returns; each widening spreads
 it there in place, so none holds two states. A narrow widening by one
-qubit writes a first mix on that qubit with the zeros, and CZ(c, t); Z(t)
-is one flip where c = 0. All this is exact, zero signs included, for any
-circuit; synthesized circuits touch qubits in order, so most of their
-gates run on small states. Width is capped at 24 qubits (a 128 MiB state).
+qubit writes an uncontrolled first mix on that qubit with the zeros, and
+CZ(c, t); Z(t) is one flip where c = 0. All this is exact, zero signs
+included, for any circuit; synthesized circuits touch qubits in order, so
+most of their gates run on small states. Width is capped at 24 qubits (a
+128 MiB state).
 
 On states of at most 2**16 amplitudes a gate is three whole-array numpy
 expressions. A wider state is walked in blocks of 2**15 amplitudes
@@ -276,22 +277,16 @@ def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
 
 
 def _widen_mixed(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    """``_widen`` by one qubit, then the mix ``gate`` on that qubit, in one pass.
+    """``_widen`` by one qubit, then the uncontrolled mix ``gate`` on that qubit, in one pass.
 
-    Where the gate acts, (x[i], +0.0) becomes (a*x[i] + b*0.0, c*x[i] + d*0.0), bit for bit.
+    (x[i], +0.0) becomes (a*x[i] + b*0.0, c*x[i] + d*0.0), bit for bit.
     """
     a, b, c, d = gate.entries
-    out = np.empty(2 * amps.size)
-    x, y = amps, out.reshape(-1, 2)
-    if gate.control is not None:
-        x, y = amps.reshape(1 << gate.control, 2, -1), out.reshape(1 << gate.control, 2, -1, 2)
-        off = 1 - gate.kind.active_control
-        y[:, off, :, 0], y[:, off, :, 1] = x[:, off], 0.0
-        x, y = x[:, 1 - off], y[:, 1 - off]
-    for half, first, second in ((y[..., 0], a, b), (y[..., 1], c, d)):
-        np.multiply(x, first, out=half)
+    out = np.empty((amps.size, 2))
+    for half, first, second in ((out[:, 0], a, b), (out[:, 1], c, d)):
+        np.multiply(amps, first, out=half)
         np.add(half, second * 0.0, out=half)
-    return out
+    return out.reshape(-1)
 
 
 def _spread(register: np.ndarray, width: int, new_width: int) -> None:
@@ -354,7 +349,7 @@ def run(circuit: Circuit) -> StateVector:
                 else:
                     _spread(register, width, reach)
                 amps = register[:1 << reach]
-            elif reach == width + 1 and gate.target == width and gate.kind.action == "mix":
+            elif reach == width + 1 and gate.control is None and gate.kind.action == "mix":
                 amps, width = _widen_mixed(amps, gate), reach
                 continue
             else:

@@ -42,6 +42,15 @@ def test_synth_qasm_requires_lower(capsys):
     assert "requires --lower" in capsys.readouterr().err
 
 
+def test_synth_qasm_without_lower_is_refused_before_synthesis(monkeypatch, capsys):
+    def no_synthesis(N):
+        raise AssertionError("the format check must not build the circuit")
+
+    monkeypatch.setattr(synthesis, "synthesize", no_synthesis)
+    assert main(["synth", str(2**4000 - 1), "--format", "qasm"]) == 1
+    assert capsys.readouterr() == ("", "error: qasm output requires --lower\n")
+
+
 def test_synth_n1_emits_an_empty_program(capsys):
     assert main(["synth", "1", "--lower", "--format", "qasm"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 (QasmParseError is one), nothing else."""
 
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,10 @@ def test_deep_nesting_is_a_malformed_document(parse):
     (parse_document, 123, "malformed circuit document"),
     (deserialize, 123, "malformed mapping document"),
     (deserialize, None, "malformed mapping document"),
+    (partial(build_mapping, seed=1), None, "dataset must be a Dataset, got NoneType"),
+    (partial(build_mapping, Dataset((b"a",))), 1.5, "seed must be an int, got 1.5"),
+    (partial(build_mapping, Dataset((b"a",))), True, "seed must be an int, got True"),
+    (serialize, None, "mapping must be an AddressMap, got NoneType"),
     *[(call, value, f"circuit must be a Circuit, got {type(value).__name__}")
       for call in (run, lower, emit_qasm, emit_document, depth, entangler_count)
       for value in (None, "OPENQASM 2.0;")],

@@ -384,6 +384,72 @@ def test_builders_match_the_keyword_constructor(builder, kind, names):
         assert _outcome(builder, *args) == expected, change
 
 
+_MATRIX_TARGETS = [0, 2, -1, True, 1.0]
+_MATRIX_CONTROLS = [None, 1, 2, -3, True, "1"]
+_MATRIX_ANGLES = [None, 0.5, 3, True, "0.5", math.inf, math.nan, 10**400]
+_MATRIX_PROBS = [None, Fraction(1, 3), 1, 0.5, True, Fraction(3, 2), -1, "1/2"]
+
+
+def _documented_outcome(kind, target, control, angle, prob):
+    """What Gate promises, checking kind, target, control, prob and angle in that order."""
+    if type(kind) is not GateKind:
+        return ValueError, f"kind must be a GateKind, got {kind!r}"
+    if type(target) is not int:
+        return ValueError, f"target must be an integer, got {target!r}"
+    if target < 0:
+        return ValueError, f"target {target} must be non-negative"
+    if kind.active_control is None:
+        if control is not None:
+            return ValueError, f"{kind.name} does not take a control qubit"
+    elif control is None:
+        return ValueError, f"{kind.name} requires a control qubit"
+    elif type(control) is not int:
+        return ValueError, f"control must be an integer, got {control!r}"
+    elif control < 0:
+        return ValueError, f"control {control} must be non-negative"
+    elif control == target:
+        return ValueError, f"{kind.name} control equals target ({target})"
+    if kind.param != "prob":
+        if prob is not None:
+            return ValueError, f"{kind.name} does not take a probability"
+    elif prob is None:
+        return ValueError, f"{kind.name} requires a probability"
+    elif type(prob) not in (int, Fraction):
+        return TypeError, f"prob must be an exact rational (Fraction), got {prob!r}"
+    elif not 0 <= prob <= 1:
+        return ValueError, f"prob {Fraction(prob)} outside [0, 1]"
+    if kind.param != "angle":
+        if angle is not None:
+            return ValueError, f"{kind.name} does not take an angle"
+    elif angle is None:
+        return ValueError, f"{kind.name} requires an angle"
+    elif not isinstance(angle, (int, float)) or isinstance(angle, bool):
+        return ValueError, f"angle must be a number, got {angle!r}"
+    else:
+        try:
+            angle = float(angle)
+        except OverflowError:
+            angle = math.inf
+        if not math.isfinite(angle):
+            return ValueError, f"angle {angle} must be finite"
+    prob = None if prob is None else Fraction(prob)
+    return [(value, type(value)) for value in (kind, target, control, angle, prob)]
+
+
+def test_gate_refuses_every_bad_argument_in_the_documented_order():
+    calls = [(kind, target, control, angle, prob)
+             for kind in GateKind for target in _MATRIX_TARGETS for control in _MATRIX_CONTROLS
+             for angle in _MATRIX_ANGLES for prob in _MATRIX_PROBS]
+    assert len(calls) == 17280
+    built = set()
+    for call in calls:
+        expected = _documented_outcome(*call)
+        assert _outcome(Gate, *call) == expected, call
+        if isinstance(expected, list):
+            built.add(call[0])
+    assert built == set(GateKind)
+
+
 def test_keyword_construction_and_replace_run_every_check():
     gate = Gate(kind=GateKind.RY, target=1, angle=2)
     assert gate == Gate.ry(1, 2.0)
