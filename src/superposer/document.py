@@ -71,13 +71,13 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
         raise ValueError(f"gate {index}: {exc}") from None
 
 
-def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) -> dict:
+def load_versioned(text: str | bytes, name: str, version: int, keys: tuple[str, ...]) -> dict:
     """Parse a JSON object whose top level holds exactly ``version`` and ``keys``.
 
-    Anything else raises ValueError: text that is not a JSON object (input
-    that is not text, nesting too deep and ints past Python's digit limit
-    included), a version other than the int ``version``, or a missing or
-    unknown key. The values under ``keys`` are left to the caller.
+    Bytes decode as in ``json.loads``. Anything else raises ValueError: text that is
+    not a JSON object (undecodable bytes, input of another type, nesting too deep and
+    ints past Python's digit limit included), a version other than the int ``version``,
+    or a missing or unknown key. The values under ``keys`` are left to the caller.
     """
     try:
         doc = json.loads(text)
@@ -97,7 +97,7 @@ def load_versioned(text: str, name: str, version: int, keys: tuple[str, ...]) ->
     return doc
 
 
-def parse_document(text: str) -> Circuit:
+def parse_document(text: str | bytes) -> Circuit:
     """Parse and validate a circuit document."""
     doc = load_versioned(text, "circuit", DOCUMENT_VERSION, ("n_qubits", "level", "gates"))
     if type(doc["n_qubits"]) is not int:

@@ -172,15 +172,16 @@ def serialize(mapping: AddressMap) -> bytes:
 
 
 def deserialize(data: bytes | str) -> AddressMap:
-    """Parse and validate a mapping document, checking its address strings once."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="replace")
+    """Parse and validate a mapping document, checking its address strings once.
+
+    Bytes are decoded by ``load_versioned``; a non-string address fails the one address check.
+    """
     doc = load_versioned(data, "mapping", MAPPING_VERSION, ("N", "n", "seed", "pairs"))
     pairs, N = doc["pairs"], doc["N"]
     if not isinstance(pairs, list):
         raise ValueError("mapping pairs must be a list")
     for entry in pairs:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+        if not (isinstance(entry, list) and len(entry) == 2):
             raise ValueError(f"bad mapping pair: {entry!r}")
     if type(N) is not int or N != len(pairs):
         raise ValueError(f"pair count {len(pairs)} does not match N={N!r}")

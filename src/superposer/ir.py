@@ -105,36 +105,36 @@ class Gate:
         elif control is not None:
             raise ValueError(f"{kind.name} does not take a control qubit")
 
-        # A bad prob is reported before a bad angle.
-        param = kind.param
-        if param == "prob":
-            if prob is None:
-                raise ValueError(f"{kind.name} requires a probability")
-            if type(prob) is int:
-                prob = Fraction(prob)
-            elif type(prob) is not Fraction:
-                raise TypeError(f"prob must be an exact rational (Fraction), got {prob!r}")
-            # A Fraction's denominator is positive: this is 0 <= prob <= 1 without
-            # Fraction's comparison, which costs a few us on wide numerators.
-            if not 0 <= prob.numerator <= prob.denominator:
-                raise ValueError(f"prob {prob} outside [0, 1]")
-        elif prob is not None:
-            raise ValueError(f"{kind.name} does not take a probability")
-        if param == "angle":
-            if angle is None:
-                raise ValueError(f"{kind.name} requires an angle")
-            if type(angle) is not float:
-                # float subclasses (numpy.float64) are numbers; bool is not.
-                if not isinstance(angle, (int, float)) or isinstance(angle, bool):
-                    raise ValueError(f"angle must be a number, got {angle!r}")
-                try:
-                    angle = float(angle)
-                except OverflowError:
-                    angle = math.inf
-            if not math.isfinite(angle):
-                raise ValueError(f"angle {angle} must be finite")
-        elif angle is not None:
-            raise ValueError(f"{kind.name} does not take an angle")
+        # A bad prob is reported before a bad angle; `is None` is cheaper than `None == "prob"`.
+        if (param := kind.param) is not None or prob is not None or angle is not None:
+            if param == "prob":
+                if prob is None:
+                    raise ValueError(f"{kind.name} requires a probability")
+                if type(prob) is int:
+                    prob = Fraction(prob)
+                elif type(prob) is not Fraction:
+                    raise TypeError(f"prob must be an exact rational (Fraction), got {prob!r}")
+                # A Fraction's denominator is positive: this is 0 <= prob <= 1 without
+                # Fraction's comparison, which costs a few us on wide numerators.
+                if not 0 <= prob.numerator <= prob.denominator:
+                    raise ValueError(f"prob {prob} outside [0, 1]")
+            elif prob is not None:
+                raise ValueError(f"{kind.name} does not take a probability")
+            if param == "angle":
+                if angle is None:
+                    raise ValueError(f"{kind.name} requires an angle")
+                if type(angle) is not float:
+                    # float subclasses (numpy.float64) are numbers; bool is not.
+                    if not isinstance(angle, (int, float)) or isinstance(angle, bool):
+                        raise ValueError(f"angle must be a number, got {angle!r}")
+                    try:
+                        angle = float(angle)
+                    except OverflowError:
+                        angle = math.inf
+                if not math.isfinite(angle):
+                    raise ValueError(f"angle {angle} must be finite")
+            elif angle is not None:
+                raise ValueError(f"{kind.name} does not take an angle")
 
         _set_kind(self, kind)
         _set_target(self, target)

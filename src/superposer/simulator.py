@@ -205,7 +205,7 @@ def _buffered_kernel(gate: Gate, target: int, control: int | None, active: int |
     return kernel
 
 
-def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray | None,
+def _apply_inplace(amps: np.ndarray, gate: Gate, live: np.ndarray | None,
                    active: int | None) -> None:
     """Apply one gate in place, where its control, if any, is ``active``.
 
@@ -231,7 +231,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray
             x1[...] = c * x0 + d * x1
             x0[...] = new0
         return
-    h = n_qubits - _BLOCK_BITS
+    h = amps.size.bit_length() - 1 - _BLOCK_BITS
     t, c = gate.target, gate.control
     index = np.arange(live.size)
     pair = 1 << (h - 1 - t) if t < h else 0
@@ -246,7 +246,7 @@ def _apply_inplace(amps: np.ndarray, gate: Gate, n_qubits: int, live: np.ndarray
     # its other qubits count from `first`.
     first = h - 1 if pair else h
     target, control = (0 if pair else t - first), (None if c is None else c - first)
-    chunked = action == "mix" and n_qubits - t - 1 <= _CHUNK_REACH_BITS
+    chunked = action == "mix" and amps.size >> (t + 1) <= 1 << _CHUNK_REACH_BITS
     kernel = (_chunk_kernel if chunked else _buffered_kernel)(gate, target, control, active)
     rows = amps.reshape(-1, _BLOCK)
     for k in blocks.tolist():
@@ -258,21 +258,19 @@ def apply(state: StateVector, gate: Gate) -> StateVector:
     if not isinstance(state, StateVector) or not isinstance(gate, Gate):
         raise ValueError(
             f"apply takes a StateVector and a Gate, got {type(state).__name__} and {gate!r}")
-    for q in gate.qubits:
-        if q >= state.n_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.n_qubits} qubits")
+    Circuit(state.n_qubits, (gate,))  # refuses a qubit outside the state
     out = state.amps.copy()
     live = np.ones(out.size >> _BLOCK_BITS, dtype=bool)
-    _apply_inplace(out, gate, state.n_qubits, live, gate.kind.active_control)
+    _apply_inplace(out, gate, live, gate.kind.active_control)
     return StateVector(out)
 
 
-def _widen(amps: np.ndarray, width: int, new_width: int) -> np.ndarray:
-    """The same state with qubits width..new_width-1 appended in |0>."""
-    if new_width == width:
+def _widen(amps: np.ndarray, new_width: int) -> np.ndarray:
+    """The same state, whose width its size gives, with qubits up to new_width-1 appended in |0>."""
+    if 1 << new_width == amps.size:
         return amps
     out = np.zeros(1 << new_width)
-    out[:: 1 << (new_width - width)] = amps
+    out[:: (1 << new_width) // amps.size] = amps
     return out
 
 
@@ -290,15 +288,16 @@ def _widen_mixed(amps: np.ndarray, gate: Gate) -> np.ndarray:
 
 
 def _spread(register: np.ndarray, width: int, new_width: int) -> None:
-    """``_widen`` in place: register[:2**width], a block or more with zeros above, to 2**new_width.
+    """``_widen`` in place: register[:2**width], with zeros above, to 2**new_width.
 
-    Blocks move top down, so each is read before anything lands on it.
+    Blocks (all of a smaller state) move top down, so each is read before it is overwritten.
     """
     size, s = 1 << width, new_width - width
-    for lo in range(size - _BLOCK, -1, -_BLOCK) if s else ():
+    step = min(size, _BLOCK)
+    for lo in range(size - step, -1, -step) if s else ():
         # Only the bottom block overlaps its own destination.
-        source = register[lo:lo + _BLOCK] if lo else register[:_BLOCK].copy()
-        dest = register[lo << s:(lo + _BLOCK) << s]
+        source = register[lo:lo + step] if lo else register[:step].copy()
+        dest = register[lo << s:(lo + step) << s]
         dest[:max(size - (lo << s), 0)] = 0.0
         dest[::1 << s] = source
 
@@ -345,22 +344,21 @@ def run(circuit: Circuit) -> StateVector:
                 live = _live_blocks(amps, reach - width)
                 if register is None:
                     register = np.zeros(1 << n)
-                    register[:1 << reach:1 << (reach - width)] = amps
-                else:
-                    _spread(register, width, reach)
+                    register[:amps.size] = amps
+                _spread(register, width, reach)
                 amps = register[:1 << reach]
             elif reach == width + 1 and gate.control is None and gate.kind.action == "mix":
                 amps, width = _widen_mixed(amps, gate), reach
                 continue
             else:
-                amps = _widen(amps, width, reach)
+                amps = _widen(amps, reach)
             width = reach
-        _apply_inplace(amps, gate, width, live, active)
+        _apply_inplace(amps, gate, live, active)
     norm = float(np.linalg.norm(amps))
     if not abs(norm - 1.0) < 1e-10:
         raise RuntimeError(f"state norm {norm!r} after {len(circuit)} gates is not 1")
     if register is None:
-        return StateVector(_widen(amps, width, n))
+        return StateVector(_widen(amps, n))
     _spread(register, width, n)
     return StateVector(register)
 

@@ -203,6 +203,26 @@ def test_deserialize_rejects_bad_documents():
         )
 
 
+
+def test_deserialize_decodes_every_input_as_json_loads_does():
+    # One reader policy for both document kinds: json.loads decodes the bytes.
+    mapping = build_mapping(_dataset(5), seed=2)
+    text = serialize(mapping).decode()
+    utf16 = text.encode("utf-16")
+    for data in (text, text.encode(), bytearray(text.encode()), utf16, bytearray(utf16)):
+        assert deserialize(data) == mapping, data[:4]
+
+
+def test_deserialize_reports_an_undecodable_address_as_malformed():
+    data = b'{"version": 1, "N": 2, "n": 1, "seed": 0, "pairs": [["0", 0], ["\xff", 1]]}'
+    with pytest.raises(ValueError, match="malformed mapping document"):
+        deserialize(data)
+
+
+def test_deserialize_refuses_a_non_string_address_by_the_address_check():
+    with pytest.raises(ValueError, match="cover exactly"):
+        deserialize(b'{"version": 1, "N": 2, "n": 1, "seed": 0, "pairs": [["0", 0], [0, 1]]}')
+
 def test_deserialize_rejects_addresses_out_of_order():
     # A bijection, but pairs must list the addresses in address order.
     with pytest.raises(ValueError, match="cover exactly"):

@@ -5,8 +5,12 @@ Any change to them is a change to the user-visible output and has to be
 deliberate.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import superposer
 from superposer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,3 +49,41 @@ def test_cli_output_is_byte_identical(tmp_path, capsys):
     expect("encode_11_stdout.txt", stdout)
     expect("encode_11_map.json", mapping.read_bytes())
     expect("encode_11_prep.qasm", circuit.read_bytes())
+
+
+def _process(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python -m superposer.cli`` with ``argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(superposer.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "superposer.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+def test_cli_process_output_is_byte_identical(tmp_path):
+    # The same pins through the module entry point, as a user's shell runs it.
+    (tmp_path / "records.txt").write_bytes(RECORDS)
+    encode = ["encode", "records.txt", "--seed", "3",
+              "--mapping-out", "map.json", "--circuit-out", "prep.qasm"]
+    for argv, stdout, written in [
+        (["synth", "7", "--lower", "--format", "qasm"], "synth_7_lower.qasm", {}),
+        (["synth", "12"], "synth_12.json", {}),
+        (["verify", "7"], "verify_7.txt", {}),
+        (["verify", "200001"], "verify_200001.txt", {}),
+        (["scan", "--n-max", "5", "--csv", "rows.csv"], "scan_5_summary.csv",
+         {"rows.csv": "scan_5_rows.csv"}),
+        (encode, "encode_11_stdout.txt",
+         {"map.json": "encode_11_map.json", "prep.qasm": "encode_11_prep.qasm"}),
+    ]:
+        result = _process(argv, tmp_path)
+        assert (result.returncode, result.stderr) == (0, b""), argv
+        assert result.stdout == (GOLDEN / stdout).read_bytes(), argv
+        for path, golden in written.items():
+            assert (tmp_path / path).read_bytes() == (GOLDEN / golden).read_bytes(), path
+
+
+def test_cli_process_exit_codes(tmp_path):
+    refused = _process(["synth", "0"], tmp_path)
+    assert (refused.returncode, refused.stdout) == (1, b"")
+    assert refused.stderr == b"error: N must be a positive integer, got 0\n"
+    failed = _process(["verify", "7", "--tolerance", "0"], tmp_path)
+    assert (failed.returncode, failed.stderr) == (2, b"")
+    assert failed.stdout.endswith(b"FAIL (tolerance 0)\n")

@@ -106,6 +106,11 @@ def test_apply_rejects_out_of_range_qubit():
         apply(init_zero(1), Gate.h(1))
 
 
+def test_apply_leaves_the_qubit_check_to_circuit():
+    with pytest.raises(ValueError, match="^gate 0: qubit 2 out of range for 2 qubits$"):
+        apply(init_zero(2), Gate.cnot(2, 0))
+
+
 def test_zero_controlled_h_only_acts_when_control_is_zero():
     off = apply(apply(init_zero(2), Gate.x(0)), Gate.zero_ch(0, 1))
     assert np.allclose(off.amps, [0, 0, 1, 0])
@@ -174,8 +179,8 @@ from superposer.ir import Circuit, Gate
 assert sys.flags.optimize
 real = simulator._apply_inplace
 
-def scaling(amps, gate, n_qubits, live, active):
-    real(amps, gate, n_qubits, live, active)
+def scaling(amps, gate, live, active):
+    real(amps, gate, live, active)
     amps *= 2.0
 
 simulator._apply_inplace = scaling
@@ -408,7 +413,7 @@ def test_blocked_kernel_equals_the_expression_kernel_bit_for_bit(monkeypatch):
             _expression_kernel(expected, gate)
             actual = state.copy()
             paths.clear()
-            simulator._apply_inplace(actual, gate, n, all_live, gate.kind.active_control)
+            simulator._apply_inplace(actual, gate, all_live, gate.kind.active_control)
             assert actual.tobytes() == expected.tobytes(), (n, gate)
             assert len(set(paths)) == 1, (n, gate, set(paths))
             seen.add((n, gate.kind, paths[0], _control_place(gate, n)))
@@ -455,7 +460,7 @@ def test_skipping_dead_blocks_keeps_the_expression_kernel_bits():
             _expression_kernel(expected, gate)
             np.copyto(actual, state)
             live = ~dead
-            simulator._apply_inplace(actual, gate, n, live, gate.kind.active_control)
+            simulator._apply_inplace(actual, gate, live, gate.kind.active_control)
             _assert_equal_but_for_zero_signs(actual, expected, (n, gate))
             holds = actual.reshape(-1, block).any(axis=1)
             assert not (holds & ~live).any(), (n, gate, live)
@@ -510,7 +515,7 @@ def test_wide_kernels_leave_dead_blocks_untouched():
     state = np.random.default_rng(n).normal(size=1 << n)
     for gate in _every_wide_gate(n):
         amps, live = state.copy(), np.zeros(state.size // simulator._BLOCK, dtype=bool)
-        simulator._apply_inplace(amps, gate, n, live, gate.kind.active_control)
+        simulator._apply_inplace(amps, gate, live, gate.kind.active_control)
         assert amps.tobytes() == state.tobytes(), gate
         assert not live.any(), gate
 
