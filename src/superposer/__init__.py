@@ -11,7 +11,6 @@ from .encoding import Dataset, build_indices, build_mapping, deserialize, serial
 from .ir import Circuit, Gate
 from .lowering import lower
 from .qasm import QasmParseError, emit_qasm, parse_qasm
-from .simulator import run, uniform_distance
 from .synthesis import synthesize
 
 __version__ = "0.1.0"
@@ -36,3 +35,17 @@ __all__ = [
     "synthesize",
     "uniform_distance",
 ]
+
+_SIMULATED = ("run", "uniform_distance")
+
+
+def __getattr__(name: str):
+    # The simulator, and numpy with it, loads on first use of its names (PEP 562).
+    if name in _SIMULATED:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIMULATED})

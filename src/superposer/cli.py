@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
-from . import analysis, document, encoding, lowering, qasm, simulator, synthesis
+from . import analysis, document, encoding, lowering, qasm, synthesis
 from .ir import entangler_count
 
 
@@ -90,6 +90,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import simulator  # numpy loads here: no other command simulates a state
     if not 0 <= args.tolerance < math.inf:
         raise ValueError(f"argument --tolerance: must be a finite number >= 0, got {args.tolerance:g}")
     n = synthesis.split(args.N)[0]

@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 from .ir import Circuit, Gate, GateKind, Level
+from .synthesis import _LowestTerms
 
 DOCUMENT_VERSION = 1
 
@@ -63,7 +64,10 @@ def _gate_from_entry(entry: object, index: int) -> Gate:
         if not (isinstance(prob, list) and len(prob) == 2
                 and all(type(v) is int for v in prob) and prob[1] != 0):
             raise ValueError(f"gate {index}: prob must be [numerator, denominator]")
-        prob = Fraction(prob[0], prob[1])
+        num, den = prob
+        # synthesis's [2**k, odd] pairs are in lowest terms, so they skip the gcd.
+        lowest = num > 0 and num & (num - 1) == 0 and den > 0 and den & 1
+        prob = Fraction(_LowestTerms(num, den)) if lowest else Fraction(num, den)
     try:
         return Gate(kind=kind, target=entry.get("target"), control=entry.get("control"),
                     angle=entry.get("angle"), prob=prob)

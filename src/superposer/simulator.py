@@ -143,17 +143,16 @@ def _chunk_kernel(gate: Gate, target: int, control: int | None, active: int | No
 
     Qubits count from the block's first. A control's active runs are
     gathered into half a block, where the pairs lie r apart (control above
-    the target) or r/2 (below), and scattered back.
+    the target) or r/2 (below), and scattered back. Patterns tile (a, d), (b, c), r each.
     """
     r = 1 << (_BLOCK_BITS - target - 1)
     if control is not None and control > target:
         r //= 2
-    low, high, swapped = np.empty((3, _BLOCK if control is None else _BLOCK // 2))
+    size = _BLOCK if control is None else _BLOCK // 2
     a, b, c, d = gate.entries
-    for pattern, first, second in ((low, a, d), (high, b, c)):
-        halves = pattern.reshape(-1, 2, r)
-        halves[:, 0] = first
-        halves[:, 1] = second
+    low = np.tile(np.repeat((a, d), r), size // (2 * r))
+    high = np.tile(np.repeat((b, c), r), size // (2 * r))
+    swapped = np.empty(size)
     if control is None:
         return lambda block: _mix(block, r, low, high, swapped)
     control_run = 1 << (_BLOCK_BITS - control - 1)
@@ -368,6 +367,9 @@ def uniform_distance(state: StateVector, N: int) -> float:
 
     Compares against the vector with amplitude 1/sqrt(N) on the first N
     basis indices and 0 elsewhere, and returns the largest |difference|.
+    fl(v - level) never falls as v grows and fl(level - v) = -fl(v - level), so the
+    largest |v - level| is at the largest or the smallest v: four exact reductions, no
+    temporary array, a NaN carried through. Adding 0.0 turns a kept -0.0 into 0.0.
     """
     split(N)  # raises for anything but an int N >= 1
     if not isinstance(state, StateVector):
@@ -375,20 +377,7 @@ def uniform_distance(state: StateVector, N: int) -> float:
     amps = state.amps
     if N > amps.size:
         raise ValueError(f"N={N} exceeds the state dimension {amps.size}")
-    head = _max_abs_deviation(amps[:N], 1.0 / math.sqrt(N))
-    tail = _max_abs_deviation(amps[N:], 0.0)
-    return float(np.maximum(head, tail))
-
-
-def _max_abs_deviation(values: np.ndarray, level: float) -> float:
-    """max |values - level| (0.0 if empty), one block at a time.
-
-    max is exact and np.maximum carries a NaN through, so this is the
-    double one pass over the whole array would give, with temporaries of
-    one block instead of two the size of the state.
-    """
-    peak = np.float64(0.0)
-    for start in range(0, values.size, _BLOCK):
-        deviation = values[start:start + _BLOCK] - level
-        peak = np.maximum(peak, np.abs(deviation, out=deviation).max())
-    return peak
+    level, head, tail = 1.0 / math.sqrt(N), amps[:N], amps[N:]
+    peak = np.maximum(np.maximum(head.max() - level, level - head.min()),
+                      np.maximum(tail.max(initial=0.0), -tail.min(initial=0.0)))
+    return float(peak) + 0.0

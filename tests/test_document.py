@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -101,6 +102,33 @@ def test_parse_rejects_bad_probability_shape():
         doc["gates"][0]["prob"] = prob
         with pytest.raises(ValueError, match="gate 0: prob"):
             parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("prob, refusal", [
+    ([2, 4], None), ([0, 1], None), ([0, 3], None), ([1, 1], None), ([2, 3], None),
+    ([3, 5], None), ([-2, -4], None), ([-1, -3], None), ([1 << 70, (1 << 71) + 1], None),
+    ([4, 3], "prob 4/3 outside [0, 1]"), ([8, 1], "prob 8 outside [0, 1]"),
+    ([-1, 3], "prob -1/3 outside [0, 1]"), ([1, -3], "prob -1/3 outside [0, 1]"),
+    ([1, 0], "prob must be [numerator, denominator]"),
+    ([True, 2], "prob must be [numerator, denominator]"),
+    ([False, 1], "prob must be [numerator, denominator]"),
+])
+def test_parse_reads_a_prob_pair_as_its_fraction(prob, refusal):
+    # [2**k, odd] pairs skip Fraction's gcd; every pair must still read as Fraction(*pair).
+    text = json.dumps({"version": 1, "n_qubits": 2, "level": "abstract",
+                       "gates": [{"kind": "cg", "target": 0, "control": 1, "prob": prob}]})
+    if refusal is not None:
+        with pytest.raises(ValueError) as info:
+            parse_document(text)
+        assert str(info.value) == f"gate 0: {refusal}"
+        return
+    gate, expected = parse_document(text).gates[0], Gate.cg(1, 0, Fraction(*prob))
+    for field in dataclasses.fields(Gate):
+        got, want = getattr(gate, field.name), getattr(expected, field.name)
+        assert (type(got), got) == (type(want), want), field.name
+    for part in ("numerator", "denominator"):
+        got, want = getattr(gate.prob, part), getattr(expected.prob, part)
+        assert (type(got), got) == (type(want), want), part
 
 
 def test_parse_rejects_unknown_gate_fields():

@@ -51,10 +51,16 @@ def test_cli_output_is_byte_identical(tmp_path, capsys):
     expect("encode_11_prep.qasm", circuit.read_bytes())
 
 
-def _process(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    """``python -m superposer.cli`` with ``argv`` in a fresh interpreter."""
+# The CLI's main in a fresh interpreter where any import of numpy fails.
+_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                  "from superposer.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def _process(argv: list[str], cwd: Path, without_numpy: bool = False) -> subprocess.CompletedProcess:
+    """``python -m superposer.cli`` with ``argv`` in a fresh interpreter, numpy blocked if asked."""
     env = dict(os.environ, PYTHONPATH=str(Path(superposer.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "superposer.cli", *argv], cwd=cwd, env=env,
+    entry = ["-c", _WITHOUT_NUMPY] if without_numpy else ["-m", "superposer.cli"]
+    return subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=env,
                           capture_output=True, timeout=120)
 
 
@@ -87,3 +93,26 @@ def test_cli_process_exit_codes(tmp_path):
     failed = _process(["verify", "7", "--tolerance", "0"], tmp_path)
     assert (failed.returncode, failed.stderr) == (2, b"")
     assert failed.stdout.endswith(b"FAIL (tolerance 0)\n")
+
+
+def test_cli_commands_but_verify_run_without_numpy(tmp_path):
+    # Only verify simulates a state, so only verify may load numpy.
+    (tmp_path / "records.txt").write_bytes(RECORDS)
+    encode = ["encode", "records.txt", "--seed", "3",
+              "--mapping-out", "map.json", "--circuit-out", "prep.qasm"]
+    for argv, stdout, written in [
+        (["synth", "12"], "synth_12.json", {}),
+        (["synth", "7", "--lower", "--format", "qasm"], "synth_7_lower.qasm", {}),
+        (["scan", "--n-max", "5"], "scan_5_summary.csv", {}),
+        (encode, "encode_11_stdout.txt",
+         {"map.json": "encode_11_map.json", "prep.qasm": "encode_11_prep.qasm"}),
+    ]:
+        result = _process(argv, tmp_path, without_numpy=True)
+        assert (result.returncode, result.stderr) == (0, b""), argv
+        assert result.stdout == (GOLDEN / stdout).read_bytes(), argv
+        for path, golden in written.items():
+            assert (tmp_path / path).read_bytes() == (GOLDEN / golden).read_bytes(), path
+    # The block holds: verify, which needs numpy, cannot run.
+    blocked = _process(["verify", "7"], tmp_path, without_numpy=True)
+    assert blocked.returncode != 0 and blocked.stdout == b""
+    assert b"import of numpy halted" in blocked.stderr

@@ -598,6 +598,19 @@ def test_uniform_distance_equals_the_full_expected_vector():
     wide.amps[2 * block + 3] = 0.0
     wide.amps[-1] = np.nan
     assert math.isnan(uniform_distance(wide, 3 * block))
+    # Exact heads beside zeros of either sign, infinities, NaNs and subnormals,
+    # for every N from 1 to the size: repr tells -0.0 from 0.0, which == does not.
+    tiny = 5e-324
+    sprinkled = rng.normal(size=64) * 1e-300
+    sprinkled[rng.choice(64, 12, replace=False)] = [
+        0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, np.inf, -np.inf, 0.125, 0.125, -0.0, 0.0]
+    for amps in ([0.5] * 4 + [0.0] * 4, [0.5] * 4 + [-0.0, 0.0, -0.0, -0.0], [0.5] * 4,
+                 [1.0, 0.0], [1.0, -0.0], [-0.0, -0.0], [0.0, 0.0], [tiny, -tiny, -0.0, 2.2e-308],
+                 [np.inf, 0.0], [-np.inf, 0.5, 0.5, -0.0], [np.inf, -np.inf, 0.0, 0.0],
+                 [0.5, np.nan, 0.5, 0.5], [0.5, 0.5, -0.0, np.nan], sprinkled):
+        state = StateVector(np.array(amps, dtype=np.float64))
+        for N in range(1, state.amps.size + 1):
+            assert repr(uniform_distance(state, N)) == repr(reference(state, N)), (amps, N)
 
 
 def test_uniform_distance_rejects_bad_n():
